@@ -150,6 +150,12 @@ def _read_rows(path, expected_header: str):
     return rows
 
 
+def _checked_units(units_per_meter: float) -> float:
+    if units_per_meter <= 0:
+        raise InvalidInputError(f"units_per_meter must be positive, got {units_per_meter}")
+    return units_per_meter
+
+
 def parse_points_csv(
     path,
     units_per_meter: float = 1.0,
@@ -161,9 +167,8 @@ def parse_points_csv(
     ``units_per_meter``. Without an explicit window the points' bounding
     box is used and a notice is logged.
     """
-    if units_per_meter <= 0:
-        raise InvalidInputError(f"units_per_meter must be positive, got {units_per_meter}")
-    coords = np.array(_read_rows(path, "x,y")) / units_per_meter
+    units = _checked_units(units_per_meter)
+    coords = np.array(_read_rows(path, "x,y")) / units
     if window is None:
         x_min, y_min = coords.min(axis=0)
         x_max, y_max = coords.max(axis=0)
@@ -295,7 +300,8 @@ def _config_from(args) -> RunConfig:
 def _load_pattern(args, cfg: RunConfig) -> PointPattern:
     window = None
     if getattr(args, "window", None) is not None:
-        w = [v / cfg.units_per_meter for v in args.window]
+        units = _checked_units(cfg.units_per_meter)
+        w = [v / units for v in args.window]
         window = Window(*w)
     return parse_points_csv(args.points, cfg.units_per_meter, window)
 
@@ -407,8 +413,9 @@ def cmd_merge(args) -> int:
 
 def cmd_count(args) -> int:
     cfg = _config_from(args)
-    detected = np.array(_read_rows(args.detected, "x,y")) / cfg.units_per_meter
-    labeled = np.array(_read_rows(args.labeled, "x,y")) / cfg.units_per_meter
+    units = _checked_units(cfg.units_per_meter)
+    detected = np.array(_read_rows(args.detected, "x,y")) / units
+    labeled = np.array(_read_rows(args.labeled, "x,y")) / units
     report = match_counts(detected, labeled, cfg.match_radius)
     path = _out_path(args, "count_report.csv")
     write_csv(

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
-from .geometry import Box, Point, euclidean_distance, iou
+from .geometry import Box, Point, euclidean_distance
 
 DEFAULT_PATCH_SIZE = 800
 DEFAULT_STRIDE = 400
@@ -78,16 +78,55 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list[Box]:
     Boxes are visited by descending confidence (input order breaks ties);
     a box is kept iff its IoU with every already-kept box stays below the
     threshold. Returns kept boxes in visit order.
+
+    Only box pairs that can intersect are compared: a pair that does not
+    intersect has IoU 0, which is below any threshold in (0, 1], so it can
+    never suppress. Two boxes intersect only if their centres lie within
+    the largest box extent of each other in every axis, so one k-d tree
+    pair query finds every candidate pair, and their IoU is computed with
+    the arithmetic of ``geometry.iou``. The kept list is therefore exactly
+    that of comparing each candidate with every kept box, at a cost of
+    about O(n log n + intersecting pairs) instead of O(n * kept).
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise InvalidInputError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     boxes = list(boxes)
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].confidence, i))
-    kept: list[Box] = []
-    for i in order:
-        candidate = boxes[i]
-        if all(iou(candidate, k) < iou_threshold for k in kept):
-            kept.append(candidate)
+    n = len(boxes)
+    arr = np.array([(b.x_min, b.y_min, b.x_max, b.y_max, b.confidence) for b in boxes],
+                   dtype=float).reshape(n, 5)
+    order = np.argsort(-arr[:, 4], kind="stable")
+    # Row k of the arrays below is the k-th box visited.
+    x0, y0, x1, y1 = arr[order, :4].T
+
+    # Halved before adding so that neither sum overflows.
+    centres = np.column_stack((0.5 * x0 + 0.5 * x1, 0.5 * y0 + 0.5 * y1))
+    half = np.maximum(0.5 * x1 - 0.5 * x0, 0.5 * y1 - 0.5 * y0)
+    reach = 2.0 * float(half.max(initial=0.0))
+    # Pad for rounding in the centre and extent arithmetic.
+    reach += 1e-9 * (reach + float(np.abs(centres).max(initial=0.0)))
+    # Pairs come as (i, j) with i < j: box i is visited first, so only it
+    # can suppress the other.
+    i, j = cKDTree(centres).query_pairs(reach, p=np.inf, output_type="ndarray").T
+
+    iw = np.minimum(x1[i], x1[j]) - np.maximum(x0[i], x0[j])
+    ih = np.minimum(y1[i], y1[j]) - np.maximum(y0[i], y0[j])
+    hit = (iw > 0.0) & (ih > 0.0)
+    i, j, iw, ih = i[hit], j[hit], iw[hit], ih[hit]
+    area = (x1 - x0) * (y1 - y0)
+    inter = iw * ih
+    close = inter / (area[i] + area[j] - inter) >= iou_threshold
+    i, j = i[close], j[close]
+    by_first = np.argsort(i)
+    later = j[by_first]
+    bounds = np.searchsorted(i[by_first], np.arange(n + 1)).tolist()
+
+    suppressed = np.zeros(n, dtype=bool)
+    kept = []
+    for k in range(n):
+        if suppressed[k]:
+            continue
+        kept.append(boxes[order[k]])
+        suppressed[later[bounds[k]:bounds[k + 1]]] = True
     return kept
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,70 @@ def test_merge_global_mode(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _lcg_detections(tiled: bool) -> str:
+    """Fixed detections CSV made by integer arithmetic only, so it is the
+    same on every platform: 60 crowns in a 150-unit square, each seen by
+    every 100-unit tile at stride 50 that holds it whole (tiled), or with
+    exact duplicates and edge-touching neighbours (global); confidences
+    repeat."""
+    state = 12345
+
+    def draw(k):
+        nonlocal state
+        state = (1103515245 * state + 12345) % 2**31
+        return (state >> 16) % k
+
+    rows = []
+    for _ in range(60):
+        x, y = 10 + draw(120), 10 + draw(120)
+        w, h = 8 + draw(15), 8 + draw(15)
+        conf = f"0.{draw(10)}{draw(4)}"
+        if tiled:
+            for r in range(3):
+                for c in range(3):
+                    ox, oy = 50 * c, 50 * r
+                    if ox <= x and x + w <= ox + 100 and oy <= y and y + h <= oy + 100:
+                        jx, jy = draw(3) / 4, draw(3) / 4
+                        rows.append(f"{r},{c},{x - ox + jx},{y - oy + jy},"
+                                    f"{x - ox + w},{y - oy + h},{conf}")
+        else:
+            rows.append(f"{x},{y},{x + w},{y + h},{conf}")
+            if draw(4) == 0:
+                rows.append(f"{x},{y},{x + w},{y + h},{conf}")
+            if draw(4) == 0:
+                rows.append(f"{x + w},{y},{x + 2 * w},{y + h},{conf}")
+    header = ("tile_row,tile_col," if tiled else "") + "x_min,y_min,x_max,y_max,confidence"
+    return header + "\n" + "\n".join(rows) + "\n"
+
+
+# SHA-256 of merge's output files, recorded with the quadratic greedy NMS
+# that merge_nms replaced; the sparse pass must reproduce them byte for byte.
+MERGE_GOLDEN = {
+    "tiled": {
+        "merged_boxes.csv": "70aeb1a983969b3342e25d589c97c3343a9f8aaeb0d069f3ea4a767deee7c1e4",
+        "merged_centers.csv": "9e215edb1f82593af01db99d1d1639e74cd2c27ec9fc834087dbfc290b5561e4",
+    },
+    "global": {
+        "merged_boxes.csv": "367b7b8c1d5a45b5ae5f613ea6666fb4f9703b31ca8d95e053a31b55c68432a2",
+        "merged_centers.csv": "171df84f3bc2cb5f05edf2c01d1cd4f6301a01e866e351aedc7bcb425470881f",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["tiled", "global"])
+def test_merge_golden_hashes(mode, tmp_path, capsys):
+    det = write(tmp_path / "det.csv", _lcg_detections(mode == "tiled"))
+    out = tmp_path / "out"
+    layout = (["--global"] if mode == "global"
+              else ["--patch-size", "100", "--stride", "50"])
+    assert main(["merge", "--detections", det, *layout, "--iou", "0.3",
+                 "--out-dir", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in MERGE_GOLDEN[mode]}
+    assert got == MERGE_GOLDEN[mode]
+    capsys.readouterr()
+
+
 def test_count_cli_matches_library(tmp_path, capsys):
     detected = write(tmp_path / "d.csv", "x,y\n1,0\n50,50\n")
     labeled = write(tmp_path / "l.csv", "x,y\n0,0\n10,10\n")
@@ -228,6 +294,24 @@ def test_count_cli_matches_library(tmp_path, capsys):
     assert float(body["accuracy"]) == report.accuracy
     assert float(body["shift_mean"]) == report.shift_mean
     assert int(body["n_matched"]) == len(report.matched)
+
+
+@pytest.mark.parametrize("units", ["0", "-1"])
+def test_count_rejects_nonpositive_units(units, tmp_path, capsys):
+    detected = write(tmp_path / "d.csv", "x,y\n1,0\n50,50\n")
+    labeled = write(tmp_path / "l.csv", "x,y\n0,0\n10,10\n")
+    code = main(["count", "--detected", detected, "--labeled", labeled,
+                 "--units-per-meter", units, "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert f"units_per_meter must be positive, got {float(units)}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "count_report.csv").exists()
+
+
+def test_window_with_zero_units_is_data_error(points_csv, tmp_path, capsys):
+    code = main(["ripley", "--points", points_csv, "--stat", "g", "--units-per-meter", "0",
+                 "--window", "0", "0", "50", "50", "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "units_per_meter must be positive" in capsys.readouterr().err
 
 
 def test_nn_stats_outputs(points_csv, tmp_path, capsys):

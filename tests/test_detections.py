@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palmpat import (
@@ -126,6 +128,82 @@ def test_nms_output_subset_with_bounded_overlap(seed, threshold):
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
             assert iou(a, b) < threshold
+
+
+def _near(k_max):
+    """Integers plus offsets of 0 (edges that touch), +-1e-9 (barely
+    overlapping or barely apart) or 0.5."""
+    return st.builds(lambda k, eps: k + eps, st.integers(0, k_max),
+                     st.sampled_from([0.0, 1e-9, -1e-9, 0.5]))
+
+
+_confidence = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+_box = st.builds(lambda x, y, w, h, c: Box(x, y, x + w, y + h, c),
+                 _near(12), _near(12), _near(5).map(lambda v: v + 1.0),
+                 _near(5).map(lambda v: v + 1.0), _confidence)
+
+
+@st.composite
+def _crowded_boxes(draw):
+    """Small integer-grid boxes, so duplicates, nesting and shared edges are
+    common, optionally with copies of some boxes, one long thin box that
+    sets the search reach along one axis only, and a translation to
+    coordinates where rounding is coarse."""
+    boxes = draw(st.lists(_box, max_size=30))
+    if boxes:
+        copies = draw(st.lists(st.sampled_from(boxes), max_size=8))
+        boxes += [dataclasses.replace(b) for b in copies]
+    if draw(st.booleans()):
+        x, y, short = draw(_near(12)), draw(_near(12)), draw(_near(3)) + 1.0
+        long = draw(st.sampled_from([40.0, 1000.0]))
+        w, h = (long, short) if draw(st.booleans()) else (short, long)
+        boxes.append(Box(x - w / 2, y - h / 2, x + w / 2, y + h / 2, draw(_confidence)))
+    shift = draw(st.sampled_from([0.0, 1e6 + 0.1, -3e7]))
+    boxes = [b.translate(shift, -shift) for b in boxes]
+    return draw(st.permutations(boxes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes=_crowded_boxes(),
+       threshold=st.sampled_from([1e-9, 0.5, 1.0]) | st.floats(min_value=1e-9, max_value=1.0))
+@example(boxes=[], threshold=0.5)
+@example(boxes=[Box(0, 0, 1, 1, 0.5)], threshold=1.0)
+@example(boxes=[Box(0, 0, 1, 1, 0.5), Box(1, 0, 2, 1, 0.5)], threshold=1e-9)
+@example(boxes=[Box(0, 0, 1, 1, 0.5), Box(1 - 1e-9, 0, 2, 1, 0.5)], threshold=1e-9)
+@example(boxes=[Box(0, 0, 4, 4, 0.5), Box(1, 1, 2, 2, 0.9)], threshold=1 / 16)
+@example(boxes=[Box(0, 0, 1, 1, 0.2 if c == "b" else 0.5) for c in "bbaaaaaabbabaaabbaa"],
+         threshold=0.5)  # ties that an unstable sort reorders
+def test_nms_matches_brute_force_on_degenerate_inputs(boxes, threshold):
+    kept = merge_nms(boxes, threshold)
+    expected = brute_nms(boxes, threshold)
+    assert kept == expected
+    assert all(a is b for a, b in zip(kept, expected))
+
+
+def test_nms_scales_to_a_site():
+    """About 10^5 boxes: 3*10^4 crowns each seen by every 800-px tile at
+    stride 400 that holds it whole, with per-tile jitter and confidence."""
+    rng = np.random.default_rng(2024)
+    n_crowns, side, patch, stride = 30_000, 24_000.0, 800.0, 400.0
+    centre = rng.uniform(25.0, side - 25.0, (n_crowns, 2))
+    half = rng.uniform(10.0, 25.0, (n_crowns, 1))
+    lo, hi = centre - half, centre + half
+    n_tiles = int((side - patch) // stride) + 1
+    first = np.clip(np.ceil((hi - patch) / stride), 0, n_tiles - 1).astype(int)
+    last = np.clip(np.floor(lo / stride), 0, n_tiles - 1).astype(int)
+    seen = np.prod(last - first + 1, axis=1)
+    crown = np.repeat(np.arange(n_crowns), seen)
+    jitter = rng.normal(0.0, 1.5, (crown.size, 4))
+    rows = np.hstack([lo[crown], hi[crown]]) + jitter
+    conf = rng.uniform(0.05, 1.0, crown.size)
+    boxes = [Box(*r, c) for r, c in zip(rows.tolist(), conf.tolist())]
+    assert len(boxes) > 100_000
+
+    start = time.perf_counter()
+    kept = merge_nms(boxes, 0.5)
+    assert time.perf_counter() - start < 30.0
+    assert 0.95 * n_crowns <= len(kept) <= n_crowns
+    assert all(a.confidence >= b.confidence for a, b in zip(kept, kept[1:]))
 
 
 def test_nms_threshold_validation():
