@@ -3,7 +3,6 @@ and detection postprocessing."""
 
 from .detections import (
     DetectionSet,
-    Match,
     MatchReport,
     TileLayout,
     centers,
@@ -54,7 +53,6 @@ __all__ = [
     "FitCell",
     "FitResult",
     "InvalidInputError",
-    "Match",
     "MatchReport",
     "NeighborStats",
     "Point",

@@ -128,8 +128,17 @@ def _read_rows(path, expected_header: str):
         raise InvalidInputError(
             f"{path}: expected header {expected_header!r}, got {header!r}"
         )
-    rows = []
     n_fields = expected_header.count(",") + 1
+    body = [line for line in lines[1:] if line.strip()]
+    try:  # the whole file at once
+        if any(line.count(",") != n_fields - 1 for line in body):
+            raise ValueError
+        rows = np.array(list(map(float, ",".join(body).split(",")))).reshape(-1, n_fields)
+        if np.isfinite(rows).all():
+            return rows
+    except ValueError:
+        pass
+    # Only a file with a bad line or no data rows gets here; name that line.
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -144,10 +153,7 @@ def _read_rows(path, expected_header: str):
             raise InvalidInputError(f"{path}:{lineno}: non-numeric field in {line!r}")
         if not all(math.isfinite(v) for v in values):
             raise InvalidInputError(f"{path}:{lineno}: non-finite value in {line!r}")
-        rows.append(values)
-    if not rows:
-        raise InvalidInputError(f"{path}: no data rows")
-    return rows
+    raise InvalidInputError(f"{path}: no data rows")
 
 
 def _checked_units(units_per_meter: float) -> float:
@@ -168,7 +174,7 @@ def parse_points_csv(
     box is used and a notice is logged.
     """
     units = _checked_units(units_per_meter)
-    coords = np.array(_read_rows(path, "x,y")) / units
+    coords = _read_rows(path, "x,y") / units
     if window is None:
         x_min, y_min = coords.min(axis=0)
         x_max, y_max = coords.max(axis=0)
@@ -184,11 +190,11 @@ def parse_points_csv(
 def parse_detections_csv(path, global_coords: bool, layout: TileLayout | None) -> DetectionSet:
     if global_coords:
         rows = _read_rows(path, "x_min,y_min,x_max,y_max,confidence")
-        boxes = tuple((0, 0, Box(*row)) for row in rows)
+        boxes = tuple((0, 0, Box(*row)) for row in rows.tolist())
         return DetectionSet(None, boxes)
     rows = _read_rows(path, "tile_row,tile_col,x_min,y_min,x_max,y_max,confidence")
     boxes = []
-    for row in rows:
+    for row in rows.tolist():
         r, c = row[0], row[1]
         if r != int(r) or c != int(c):
             raise InvalidInputError(f"{path}: tile indices must be integers, got ({r}, {c})")
@@ -414,8 +420,8 @@ def cmd_merge(args) -> int:
 def cmd_count(args) -> int:
     cfg = _config_from(args)
     units = _checked_units(cfg.units_per_meter)
-    detected = np.array(_read_rows(args.detected, "x,y")) / units
-    labeled = np.array(_read_rows(args.labeled, "x,y")) / units
+    detected = _read_rows(args.detected, "x,y") / units
+    labeled = _read_rows(args.labeled, "x,y") / units
     report = match_counts(detected, labeled, cfg.match_radius)
     path = _out_path(args, "count_report.csv")
     write_csv(

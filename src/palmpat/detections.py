@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
-from .geometry import Box, Point, euclidean_distance
+from .geometry import Box, Point
 
 DEFAULT_PATCH_SIZE = 800
 DEFAULT_STRIDE = 400
@@ -135,23 +135,19 @@ def centers(boxes) -> list[Point]:
 
 
 @dataclass(frozen=True)
-class Match:
-    detected: Point
-    labeled: Point
-    distance: float
-
-
-@dataclass(frozen=True)
 class MatchReport:
     """One-to-one matching of detections to labels within a radius.
 
+    ``matched`` holds one (labeled index, detected index) row per match, in
+    match order, and ``distances`` the matched distances in the same order.
     ``accuracy`` divides by the labeled count (recall-style) and is NaN
     when there are no labels; ``detected_rate`` divides by the detected
     count. Shift statistics are over matched distances; std uses the n-1
     denominator and is NaN below 2 matches.
     """
 
-    matched: tuple[Match, ...]
+    matched: np.ndarray
+    distances: np.ndarray
     n_labeled: int
     n_detected: int
     accuracy: float
@@ -161,61 +157,61 @@ class MatchReport:
     shift_std: float
 
 
-def _as_points(seq) -> list[Point]:
-    out = []
-    for p in seq:
-        if isinstance(p, Point):
-            out.append(p)
-        else:
-            x, y = p
-            out.append(Point(float(x), float(y)))
-    return out
+def _coords(points, name: str) -> np.ndarray:
+    try:
+        arr = np.asarray(points, dtype=float)
+        arr = arr.reshape(0, 2) if arr.size == 0 else arr
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} must be an (n, 2) array of finite coordinates")
+    return arr
 
 
 def match_counts(detected, labeled, radius: float = DEFAULT_MATCH_RADIUS) -> MatchReport:
     """Greedily pair detections with labels, nearest pairs first.
 
-    Candidate pairs are those within ``radius``; they are matched in
-    ascending distance order (ties: lower labeled index, then lower
-    detected index), each point used at most once.
+    ``detected`` and ``labeled`` are (n, 2) coordinate arrays. Candidate
+    pairs are those within ``radius``; they are matched in ascending
+    distance order (ties: lower labeled index, then lower detected index),
+    each point used at most once. One k-d tree query finds the candidate
+    pairs, so the cost is about O(n log n + candidate pairs).
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise InvalidInputError(f"radius must be positive, got {radius}")
-    detected = _as_points(detected)
-    labeled = _as_points(labeled)
+    detected = _coords(detected, "detected")
+    labeled = _coords(labeled, "labeled")
+    n_lab, n_det = len(labeled), len(detected)
 
-    pairs: list[tuple[float, int, int]] = []
-    if detected and labeled:
-        det_arr = np.array([(p.x, p.y) for p in detected])
-        tree = cKDTree(det_arr)
-        # Query a hair wide, then gate on the recomputed distance so the
-        # "<= radius" rule is exact under one distance definition.
-        ball = radius * (1.0 + 1e-12) + 1e-12
-        for li, lab in enumerate(labeled):
-            for di in tree.query_ball_point((lab.x, lab.y), ball):
-                dist = euclidean_distance(detected[di], lab)
-                if dist <= radius:
-                    pairs.append((dist, li, di))
-    pairs.sort()
+    # Query a hair wide, then gate on the recomputed distance so the
+    # "<= radius" rule is exact under one distance definition.
+    ball = radius * (1.0 + 1e-12) + 1e-12
+    pairs = cKDTree(labeled).sparse_distance_matrix(cKDTree(detected), ball,
+                                                    output_type="ndarray")
+    # math.hypot, not np.hypot: the two differ in the last bit on some pairs.
+    delta = detected[pairs["j"]] - labeled[pairs["i"]]
+    dist = np.array(list(map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist())))
+    near = dist <= radius
+    li, di, dist = pairs["i"][near], pairs["j"][near], dist[near]
+    order = np.lexsort((di, li, dist))
 
-    used_labeled: set[int] = set()
-    used_detected: set[int] = set()
-    matched: list[Match] = []
-    for dist, li, di in pairs:
-        if li in used_labeled or di in used_detected:
+    used_labeled, used_detected = bytearray(n_lab), bytearray(n_det)
+    taken = []
+    for k, i, j in zip(order.tolist(), li[order].tolist(), di[order].tolist()):
+        if used_labeled[i] or used_detected[j]:
             continue
-        used_labeled.add(li)
-        used_detected.add(di)
-        matched.append(Match(detected[di], labeled[li], dist))
+        used_labeled[i] = used_detected[j] = 1
+        taken.append(k)
 
-    shifts = np.array([m.distance for m in matched])
-    n_matched = len(matched)
+    shifts = dist[taken]
+    n_matched = len(taken)
     return MatchReport(
-        matched=tuple(matched),
-        n_labeled=len(labeled),
-        n_detected=len(detected),
-        accuracy=n_matched / len(labeled) if labeled else float("nan"),
-        detected_rate=n_matched / len(detected) if detected else float("nan"),
+        matched=np.column_stack((li[taken], di[taken])),
+        distances=shifts,
+        n_labeled=n_lab,
+        n_detected=n_det,
+        accuracy=n_matched / n_lab if n_lab else float("nan"),
+        detected_rate=n_matched / n_det if n_det else float("nan"),
         shift_mean=float(shifts.mean()) if n_matched else float("nan"),
         shift_median=float(np.median(shifts)) if n_matched else float("nan"),
         shift_std=float(shifts.std(ddof=1)) if n_matched >= 2 else float("nan"),

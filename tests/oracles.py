@@ -4,6 +4,8 @@ Everything here is deliberately naive (full distance matrices, quadratic
 loops, per-segment antiderivatives) and shares no code with the package
 implementations it checks.
 """
+import math
+
 import numpy as np
 
 
@@ -96,3 +98,23 @@ def rejects_csr_at_5pct(result) -> bool:
         if np.isfinite(p) and p <= alpha_each:
             return True
     return False
+
+
+def brute_match(detected, labeled, radius):
+    """Greedy nearest-first one-to-one matching by a per-label loop over
+    every detection. Returns (distance, labeled index, detected index) in
+    match order; ties go to the lower labeled, then detected, index."""
+    pairs = []
+    for li, (lx, ly) in enumerate(labeled):
+        for di, (dx, dy) in enumerate(detected):
+            dist = math.hypot(dx - lx, dy - ly)
+            if dist <= radius:
+                pairs.append((dist, li, di))
+    pairs.sort()
+    used_labeled, used_detected, matched = set(), set(), []
+    for dist, li, di in pairs:
+        if li not in used_labeled and di not in used_detected:
+            used_labeled.add(li)
+            used_detected.add(di)
+            matched.append((dist, li, di))
+    return matched

@@ -16,7 +16,6 @@ import pytest
 from palmpat import (
     Box,
     DistanceGrid,
-    Point,
     ReproductionParams,
     Window,
     envelope,
@@ -219,27 +218,28 @@ def test_criterion_6_counting_protocol(report):
     the constructed shift set {0.5, 1.0, 1.5} m."""
     with report(6, "counting-protocol"):
         # perfect detection
-        pts = [Point(0, 0), Point(7, 3), Point(2, 9)]
+        pts = [(0, 0), (7, 3), (2, 9)]
         r = match_counts(pts, pts, radius=5.0)
         assert r.accuracy == 1.0 and r.shift_mean == 0.0 and r.shift_std == 0.0
 
         # one of two labels matched at distance 1
-        r = match_counts([Point(1, 0), Point(50, 50)], [Point(0, 0), Point(10, 10)], 5.0)
+        r = match_counts([(1, 0), (50, 50)], [(0, 0), (10, 10)], 5.0)
         assert r.accuracy == 0.5 and r.shift_mean == 1.0 and r.shift_median == 1.0
 
         # distance tie resolves to the lower labeled index
-        r = match_counts([Point(3, 0)], [Point(0, 0), Point(6, 0)], 5.0)
-        assert len(r.matched) == 1 and r.matched[0].labeled == Point(0, 0)
+        r = match_counts([(3, 0)], [(0, 0), (6, 0)], 5.0)
+        assert r.matched.tolist() == [[0, 0]]
         assert r.accuracy == 0.5
 
         # nearest-first greedy: (3.5,0) pairs with (4,0), then (1,0) with (0,0)
-        r = match_counts([Point(1, 0), Point(3.5, 0)], [Point(0, 0), Point(4, 0)], 5.0)
+        r = match_counts([(1, 0), (3.5, 0)], [(0, 0), (4, 0)], 5.0)
         assert r.accuracy == 1.0
-        assert sorted(m.distance for m in r.matched) == [0.5, 1.0]
+        assert r.matched.tolist() == [[1, 1], [0, 0]]
+        assert r.distances.tolist() == [0.5, 1.0]
 
         # constructed shifts {0.5, 1.0, 1.5}: mean 1.0, median 1.0
-        labeled = [Point(0, 0), Point(10, 0), Point(20, 0)]
-        detected = [Point(0.5, 0), Point(11, 0), Point(21.5, 0)]
+        labeled = [(0, 0), (10, 0), (20, 0)]
+        detected = [(0.5, 0), (11, 0), (21.5, 0)]
         r = match_counts(detected, labeled, radius=5.0)
         assert r.accuracy == 1.0
         assert r.shift_mean == 1.0
@@ -247,7 +247,7 @@ def test_criterion_6_counting_protocol(report):
         assert r.shift_std == pytest.approx(0.5, rel=1e-15)
 
         # no labels: accuracy undefined but counts reported
-        r = match_counts([Point(0, 0)], [], radius=5.0)
+        r = match_counts([(0, 0)], [], radius=5.0)
         assert math.isnan(r.accuracy) and r.n_detected == 1 and r.n_labeled == 0
 
 

@@ -9,7 +9,7 @@ from palmpat import (
     fit,
     match_counts,
 )
-from palmpat.cli import main, parse_points_csv, parse_range
+from palmpat.cli import _read_rows, main, parse_points_csv, parse_range
 
 
 def write(path, text):
@@ -69,6 +69,44 @@ def test_parse_points_degenerate_bbox_needs_window(tmp_path):
     path = write(tmp_path / "p.csv", "x,y\n1,1\n1,2\n")
     with pytest.raises(InvalidInputError, match="--window"):
         parse_points_csv(path)
+
+
+# Every outcome of the CSV reader, with the result or message the
+# line-by-line reader gave before it parsed whole files at once.
+READ_CASES = {
+    "bom": ("\ufeffx,y\n1,2\n", [[1.0, 2.0]]),
+    "blank_lines": ("x,y\n\n1,2\n   \n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "whitespace": (" x,y \n 1 , 2 \n\t3,\t4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "crlf": ("x,y\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "field_count": ("x,y\n1,2\n3\n", "{path}:3: expected 2 fields, got 1"),
+    "extra_field": ("x,y\n1,2\n3,4,5\n", "{path}:3: expected 2 fields, got 3"),
+    "fields_even_out": ("x,y\n1\n2,3,4\n", "{path}:2: expected 2 fields, got 1"),
+    "non_numeric": ("x,y\n1,2\noops,3\n", "{path}:3: non-numeric field in 'oops,3'"),
+    "empty_field": ("x,y\n1,\n", "{path}:2: non-numeric field in '1,'"),
+    "first_bad_line_wins": ("x,y\n1,2\noops,3\n4\n",
+                            "{path}:3: non-numeric field in 'oops,3'"),
+    "nan": ("x,y\n1,2\nnan,3\n", "{path}:3: non-finite value in 'nan,3'"),
+    "inf": ("x,y\n1,2\n3,-inf\n", "{path}:3: non-finite value in '3,-inf'"),
+    "overflow": ("x,y\n1e999,2\n", "{path}:2: non-finite value in '1e999,2'"),
+    "header_only": ("x,y\n", "{path}: no data rows"),
+    "header_and_blanks": ("x,y\n\n  \n", "{path}: no data rows"),
+    "empty_file": ("", "{path}: empty file"),
+    "wrong_header": ("a,b\n1,2\n", "{path}: expected header 'x,y', got 'a,b'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_CASES))
+def test_read_rows_outcomes(case, tmp_path):
+    text, expected = READ_CASES[case]
+    path = write(tmp_path / "p.csv", text)
+    if isinstance(expected, list):
+        rows = _read_rows(path, "x,y")
+        assert rows.tolist() == expected
+        assert len(rows) == len(expected)
+    else:
+        with pytest.raises(InvalidInputError) as info:
+            _read_rows(path, "x,y")
+        assert str(info.value) == expected.format(path=path)
 
 
 # ---------------------------------------------------------------- exit codes
@@ -294,6 +332,56 @@ def test_count_cli_matches_library(tmp_path, capsys):
     assert float(body["accuracy"]) == report.accuracy
     assert float(body["shift_mean"]) == report.shift_mean
     assert int(body["n_matched"]) == len(report.matched)
+
+
+def _lcg_centres() -> tuple[str, str]:
+    """Fixed labelled and detected ``x,y`` CSVs made by integer arithmetic
+    only: 70 labels on a 41x41 lattice at offset 10^6 (so distances tie
+    exactly), each missed, seen once or seen twice at one of a few integer
+    displacements (some exactly at 5 units, some beyond), plus 10 false
+    positives."""
+    state = 2000
+
+    def draw(k):
+        nonlocal state
+        state = (1103515245 * state + 12345) % 2**31
+        return (state >> 16) % k
+
+    steps = [(0, 0), (1, 0), (0, -1), (3, 4), (-4, 3), (5, 0), (0, -5),
+             (2, 2), (-3, -4), (6, 0), (4, 4), (-1, 1)]
+    base = 10**6
+    labels = [(base + draw(41), base + draw(41)) for _ in range(70)]
+    detected = []
+    for x, y in labels:
+        fate = draw(6)
+        if fate == 0:
+            continue
+        dx, dy = steps[draw(len(steps))]
+        detected.append((x + dx, y + dy))
+        if fate == 1:
+            detected.append((x + dx, y + dy))
+    detected += [(base + draw(41), base + draw(41)) for _ in range(10)]
+
+    def csv(pts):
+        return "x,y\n" + "".join(f"{x},{y}\n" for x, y in pts)
+    return csv(labels), csv(detected)
+
+
+# SHA-256 of count_report.csv, recorded with the per-label matcher that
+# match_counts replaced. Breaking distance ties by the higher labeled or
+# the higher detected index changes it.
+COUNT_GOLDEN = "d0a88e0b4cd761dd18daf9cf40c957d18262ff03e5895aa6bfe2e8dcbd326ff8"
+
+
+def test_count_golden_hash(tmp_path, capsys):
+    labeled, detected = _lcg_centres()
+    out = tmp_path / "out"
+    # 5 units at 2 units per meter: radius 2.5 m, met exactly by some pairs.
+    assert main(["count", "--detected", write(tmp_path / "d.csv", detected),
+                 "--labeled", write(tmp_path / "l.csv", labeled),
+                 "--units-per-meter", "2", "--radius", "2.5", "--out-dir", str(out)]) == 0
+    assert hashlib.sha256((out / "count_report.csv").read_bytes()).hexdigest() == COUNT_GOLDEN
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("units", ["0", "-1"])

@@ -19,7 +19,7 @@ from palmpat import (
     merge_nms,
     to_global,
 )
-from oracles import brute_nms
+from oracles import brute_match, brute_nms
 
 
 def random_boxes(rng, n, span=100.0, max_side=20.0):
@@ -225,7 +225,7 @@ def test_centers_examples():
 
 
 def test_match_perfect_detection():
-    pts = [Point(0, 0), Point(10, 10), Point(3, 7)]
+    pts = [(0, 0), (10, 10), (3, 7)]
     report = match_counts(pts, pts, radius=5.0)
     assert report.accuracy == 1.0
     assert report.shift_mean == 0.0
@@ -234,38 +234,36 @@ def test_match_perfect_detection():
 
 
 def test_match_partial():
-    labeled = [Point(0, 0), Point(10, 10)]
-    detected = [Point(1, 0), Point(50, 50)]
+    labeled = [(0, 0), (10, 10)]
+    detected = [(1, 0), (50, 50)]
     report = match_counts(detected, labeled, radius=5.0)
     assert report.accuracy == 0.5
     assert report.shift_mean == 1.0
-    assert len(report.matched) == 1
-    assert report.matched[0].labeled == Point(0, 0)
+    assert report.matched.tolist() == [[0, 0]]
+    assert report.distances.tolist() == [1.0]
 
 
 def test_match_tie_prefers_lower_labeled_index():
-    labeled = [Point(0, 0), Point(6, 0)]
-    detected = [Point(3, 0)]
+    labeled = [(0, 0), (6, 0)]
+    detected = [(3, 0)]
     report = match_counts(detected, labeled, radius=5.0)
-    assert len(report.matched) == 1
-    assert report.matched[0].labeled == Point(0, 0)
+    assert report.matched.tolist() == [[0, 0]]
     assert report.accuracy == 0.5
 
 
 def test_match_greedy_nearest_first():
-    labeled = [Point(0, 0), Point(4, 0)]
-    detected = [Point(1, 0), Point(3.5, 0)]
+    labeled = [(0, 0), (4, 0)]
+    detected = [(1, 0), (3.5, 0)]
     report = match_counts(detected, labeled, radius=5.0)
     assert report.accuracy == 1.0
     # nearest pair (3.5, 0) <-> (4, 0) is taken first, then (1, 0) <-> (0, 0)
-    by_label = {m.labeled: m.distance for m in report.matched}
-    assert by_label[Point(4, 0)] == 0.5
-    assert by_label[Point(0, 0)] == 1.0
+    assert report.matched.tolist() == [[1, 1], [0, 0]]
+    assert report.distances.tolist() == [0.5, 1.0]
 
 
 def test_match_is_one_to_one():
-    labeled = [Point(0, 0), Point(1, 0)]
-    detected = [Point(0.4, 0)]
+    labeled = [(0, 0), (1, 0)]
+    detected = [(0.4, 0)]
     report = match_counts(detected, labeled, radius=5.0)
     assert len(report.matched) == 1
     assert report.accuracy == 0.5
@@ -273,21 +271,36 @@ def test_match_is_one_to_one():
 
 
 def test_match_no_labels_flags_accuracy_undefined():
-    report = match_counts([Point(0, 0)], [], radius=5.0)
+    report = match_counts([(0, 0)], [], radius=5.0)
     assert math.isnan(report.accuracy)
     assert report.n_labeled == 0
     assert report.n_detected == 1
     assert len(report.matched) == 0
+    assert report.matched.shape == (0, 2)
 
 
 def test_match_radius_is_inclusive():
-    report = match_counts([Point(5, 0)], [Point(0, 0)], radius=5.0)
+    report = match_counts([(5, 0)], [(0, 0)], radius=5.0)
     assert report.accuracy == 1.0
 
 
 def test_match_radius_validation():
     with pytest.raises(InvalidInputError):
         match_counts([], [], radius=0.0)
+
+
+@pytest.mark.parametrize("detected, labeled", [
+    ([(0.0, float("nan"))], [(0.0, 0.0)]),
+    ([(0.0, 0.0)], [(float("inf"), 0.0)]),
+    ([(0.0, 0.0, 0.0)], [(0.0, 0.0)]),
+    ([0.0, 0.0], [(0.0, 0.0)]),
+    ([(0.0, 0.0)], [[(0.0, 0.0)]]),
+    ([(0.0, 0.0)], [("a", 0.0)]),
+    ([(0.0, 0.0)], [Point(0.0, 0.0)]),
+])
+def test_match_rejects_bad_coordinates(detected, labeled):
+    with pytest.raises(InvalidInputError):
+        match_counts(detected, labeled, radius=5.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,12 +314,56 @@ def test_match_invariants_on_random_inputs(seed):
     radius = float(rng.uniform(1.0, 20.0))
     report = match_counts(detected, labeled, radius)
     assert report.accuracy <= min(n_det, n_lab) / n_lab + 1e-15
-    assert all(m.distance <= radius for m in report.matched)
-    if report.matched:
+    assert all(d <= radius for d in report.distances)
+    if len(report.matched):
         assert 0.0 <= report.shift_mean <= radius
     # one-to-one
-    assert len({m.labeled for m in report.matched}) == len(report.matched)
-    assert len({m.detected for m in report.matched}) == len(report.matched)
+    assert len(set(report.matched[:, 0].tolist())) == len(report.matched)
+    assert len(set(report.matched[:, 1].tolist())) == len(report.matched)
+
+
+lattice_points = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    labeled=lattice_points,
+    detected=lattice_points,
+    radius=st.sampled_from([0.5, 1.0, math.sqrt(2), 2.0, 2.5, 5.0, 12.0]),
+    scale=st.sampled_from([1.0, 0.5, 0.1]),
+    offset=st.sampled_from([0.0, 1e6, -3e7]),
+)
+@example(labeled=[(0, 0), (6, 0)], detected=[(3, 0)], radius=5.0, scale=1.0, offset=0.0)
+@example(labeled=[(0, 0), (0, 0), (3, 4)], detected=[(0, 0), (3, 4), (3, 4)],
+         radius=5.0, scale=1.0, offset=1e6)
+@example(labeled=[(1, 1)], detected=[], radius=1.0, scale=1.0, offset=0.0)
+@example(labeled=[], detected=[(1, 1)], radius=1.0, scale=1.0, offset=0.0)
+def test_match_equals_brute_force_on_lattice(labeled, detected, radius, scale, offset):
+    # Integer lattices give exact distance ties, duplicate points and pairs
+    # exactly at the radius; the offset moves them far from the origin.
+    lab = [(x * scale + offset, y * scale + offset) for x, y in labeled]
+    det = [(x * scale + offset, y * scale + offset) for x, y in detected]
+    report = match_counts(det, lab, radius)
+    expected = brute_match(det, lab, radius)
+    assert report.matched.tolist() == [[li, di] for _, li, di in expected]
+    assert report.distances.tolist() == [d for d, _, _ in expected]
+    assert report.n_labeled == len(lab)
+    assert report.n_detected == len(det)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_match_equals_brute_force_on_random_floats(seed):
+    # About 0.6% of random pairs get a different last bit from np.hypot
+    # than from math.hypot; thousands of candidate pairs make sure the
+    # distances are math.hypot's.
+    rng = np.random.default_rng(seed)
+    labeled = rng.uniform(0, 60, size=(400, 2)).tolist()
+    detected = rng.uniform(0, 60, size=(380, 2)).tolist()
+    report = match_counts(detected, labeled, radius=5.0)
+    expected = brute_match(detected, labeled, 5.0)
+    assert report.matched.tolist() == [[li, di] for _, li, di in expected]
+    assert report.distances.tolist() == [d for d, _, _ in expected]
 
 
 @settings(max_examples=30, deadline=None)
@@ -322,6 +379,6 @@ def test_match_total_distance_invariant_under_permutation(seed):
     perm_l = rng.permutation(12)
     shuffled = match_counts(detected[perm_d], labeled[perm_l], radius=8.0)
     assert len(shuffled.matched) == len(base.matched)
-    total = sum(m.distance for m in base.matched)
-    total_shuffled = sum(m.distance for m in shuffled.matched)
+    total = sum(base.distances)
+    total_shuffled = sum(shuffled.distances)
     assert total_shuffled == pytest.approx(total, rel=1e-12, abs=1e-12)
