@@ -9,28 +9,27 @@ Example:
     python scripts/csr_calibration.py --out results/calibration.csv
 """
 import argparse
+import importlib.util
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from palmpat import DistanceGrid, ReproductionParams, Window, envelope, simulate_csr, simulate_reproduction
 from palmpat.cli import write_csv
 
-GRID_FRACTIONS = (0.04, 0.08, 0.12)
 
-
-def rejects(result, alpha=0.05):
-    each = alpha / len(GRID_FRACTIONS)
-    n = len(result.p_values)
-    for frac in GRID_FRACTIONS:
-        p = result.p_values[int(round(frac * n))]
-        if np.isfinite(p) and p <= each:
-            return True
-    return False
+def load_oracles():
+    """tests/oracles.py, which holds the fixed-scale rejection rule that
+    acceptance criterion 3 applies."""
+    spec = importlib.util.spec_from_file_location("palmpat_oracles", ROOT / "tests" / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def build_args():
@@ -49,9 +48,11 @@ def build_args():
 
 def main():
     args = build_args()
-    if 1.0 / (args.m + 1) > 0.05 / len(GRID_FRACTIONS):
+    oracles = load_oracles()
+    alpha_each = 0.05 / len(oracles.REJECTION_GRID_FRACTIONS)
+    if 1.0 / (args.m + 1) > alpha_each:
         print(f"warning: m={args.m} cannot reach the per-position threshold "
-              f"{0.05 / len(GRID_FRACTIONS):.4f} (min attainable p is 1/{args.m + 1}); "
+              f"{alpha_each:.4f} (min attainable p is 1/{args.m + 1}); "
               f"use m >= 59")
     window = Window(0.0, 0.0, args.side, args.side)
     grid = DistanceGrid.default(window, 100)
@@ -69,7 +70,7 @@ def main():
             else:
                 pattern = simulate_reproduction(window, args.n, params, seed=pattern_seed)
             result = envelope(pattern, grid, "G", m=args.m, seed=env_seed)
-            rej = rejects(result)
+            rej = oracles.rejects_csr_at_5pct(result)
             counts[condition] += rej
             rows.append([condition, pattern_seed, env_seed, int(rej),
                          float(np.nanmin(result.p_values))])

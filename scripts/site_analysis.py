@@ -19,8 +19,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from palmpat import envelope, f_function, fit, g_function, j_function, nn_stats
+from palmpat import envelope, fit, nn_stats
 from palmpat.cli import parse_points_csv, parse_range, write_csv
+from palmpat.envelope import statistic_curve
 from palmpat.ripley import DistanceGrid
 from palmpat.seeding import substream_seed
 
@@ -51,12 +52,9 @@ def main():
     grid = DistanceGrid.default(pattern.window, args.grid_steps)
     print(f"{len(pattern)} points, window {pattern.window}")
 
-    g = g_function(pattern, grid)
-    f = f_function(pattern, grid, args.n_ref, substream_seed(args.seed, 10))
-    j = j_function(g, f)
-    for name, curve in (("g", g), ("f", f), ("j", j)):
-        write_csv(out / f"ripley_{name}.csv", ["d", "value"],
-                  zip(grid.values, curve.values))
+    for stat in ("G", "F", "J"):
+        curve = statistic_curve(pattern, grid, stat, args.n_ref, substream_seed(args.seed, 10))
+        write_csv(out / f"ripley_{stat.lower()}.csv", ["d", "value"], zip(grid.values, curve))
 
     for stat in ("G", "F", "J"):
         t0 = time.perf_counter()

@@ -14,10 +14,8 @@ from .envelope import EnvelopeResult, envelope, simulate_csr
 from .errors import InvalidInputError
 from .geometry import (
     Box,
-    Point,
     PointPattern,
     Window,
-    euclidean_distance,
     iou,
     nearest_neighbor_distances,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "InvalidInputError",
     "MatchReport",
     "NeighborStats",
-    "Point",
     "PointPattern",
     "ReproductionParams",
     "RipleyCurve",
@@ -65,7 +62,6 @@ __all__ = [
     "centers",
     "discrepancy",
     "envelope",
-    "euclidean_distance",
     "f_function",
     "fit",
     "g_function",

@@ -28,7 +28,6 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,18 +43,11 @@ from .detections import (
     match_counts,
     merge_nms,
 )
-from .envelope import DEFAULT_SIMULATIONS, envelope, simulate_csr
+from .envelope import DEFAULT_SIMULATIONS, envelope, simulate_csr, statistic_curve
 from .errors import InvalidInputError
-from .geometry import Box, Point, PointPattern, Window
+from .geometry import Box, PointPattern, Window
 from .reproduction import DEFAULT_TRIALS, ReproductionParams, fit, simulate_reproduction
-from .ripley import (
-    DEFAULT_GRID_STEPS,
-    DistanceGrid,
-    f_function,
-    g_function,
-    j_function,
-    nn_stats,
-)
+from .ripley import DEFAULT_GRID_STEPS, DistanceGrid, nn_stats
 from .seeding import DEFAULT_SEED
 
 logger = logging.getLogger(__name__)
@@ -65,48 +57,23 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-@dataclass
-class RunConfig:
-    """Aggregated experiment settings shared across subcommands."""
-
-    seed: int = DEFAULT_SEED
-    units_per_meter: float = 1.0
-    grid_max: float | None = None  # None = half the shorter window side
-    grid_steps: int = DEFAULT_GRID_STEPS
-    n_ref: int | None = None       # None = max(1000, n)
-    envelope_m: int = DEFAULT_SIMULATIONS
-    n_trials: int = DEFAULT_TRIALS
-    p_candidates: list[float] = field(default_factory=list)
-    sigma_candidates: list[float] = field(default_factory=list)
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD
-    match_radius: float = DEFAULT_MATCH_RADIUS
-
-    def make_grid(self, window: Window) -> DistanceGrid:
-        if self.grid_steps < 2:
-            raise InvalidInputError(f"--grid-steps must be >= 2, got {self.grid_steps}")
-        if self.grid_max is None:
-            return DistanceGrid.default(window, self.grid_steps)
-        if self.grid_max <= 0:
-            raise InvalidInputError(f"--grid-max must be positive, got {self.grid_max}")
-        return DistanceGrid(np.linspace(0.0, self.grid_max, self.grid_steps))
-
-
 # ---------------------------------------------------------------- parsing
 
 
 def parse_range(text: str) -> list[float]:
     """``start:stop:step`` inclusive of both endpoints (1e-9 tolerance),
     or a single value."""
-    parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
-        else:
-            raise ValueError
+        values = [float(p) for p in text.split(":")]
     except ValueError:
+        values = []
+    if len(values) not in (1, 3):
         raise InvalidInputError(f"expected NUMBER or START:STOP:STEP, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidInputError(f"range values must be finite, got {text!r}")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0:
         raise InvalidInputError(f"range step must be positive, got {step}")
     if stop < start:
@@ -157,8 +124,10 @@ def _read_rows(path, expected_header: str):
 
 
 def _checked_units(units_per_meter: float) -> float:
-    if units_per_meter <= 0:
-        raise InvalidInputError(f"units_per_meter must be positive, got {units_per_meter}")
+    if not (math.isfinite(units_per_meter) and units_per_meter > 0):
+        raise InvalidInputError(
+            f"units_per_meter must be positive and finite, got {units_per_meter}"
+        )
     return units_per_meter
 
 
@@ -284,63 +253,51 @@ def _out_path(args, name: str) -> Path:
 # ---------------------------------------------------------------- commands
 
 
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    for name in vars(cfg):
-        cli_name = name
-        if hasattr(args, cli_name) and getattr(args, cli_name) is not None:
-            setattr(cfg, name, getattr(args, cli_name))
-    if getattr(args, "grid_max", None) is not None:
-        if args.grid_max == "auto":
-            cfg.grid_max = None
-        else:
-            try:
-                cfg.grid_max = float(args.grid_max)
-            except ValueError:
-                raise InvalidInputError(
-                    f"--grid-max must be a number or 'auto', got {args.grid_max!r}"
-                )
-    return cfg
+def _grid(args, window: Window) -> DistanceGrid:
+    """The distance grid of --grid-max and --grid-steps."""
+    grid_max = args.grid_max
+    if grid_max != "auto":
+        try:
+            grid_max = float(grid_max)
+        except ValueError:
+            raise InvalidInputError(f"--grid-max must be a number or 'auto', got {grid_max!r}")
+    if args.grid_steps < 2:
+        raise InvalidInputError(f"--grid-steps must be >= 2, got {args.grid_steps}")
+    if grid_max == "auto":
+        return DistanceGrid.default(window, args.grid_steps)
+    if grid_max <= 0:
+        raise InvalidInputError(f"--grid-max must be positive, got {grid_max}")
+    return DistanceGrid(np.linspace(0.0, grid_max, args.grid_steps))
 
 
-def _load_pattern(args, cfg: RunConfig) -> PointPattern:
+def _load_pattern(args) -> PointPattern:
     window = None
-    if getattr(args, "window", None) is not None:
-        units = _checked_units(cfg.units_per_meter)
-        w = [v / units for v in args.window]
-        window = Window(*w)
-    return parse_points_csv(args.points, cfg.units_per_meter, window)
+    if args.window is not None:
+        units = _checked_units(args.units_per_meter)
+        window = Window(*(v / units for v in args.window))
+    return parse_points_csv(args.points, args.units_per_meter, window)
 
 
 def cmd_ripley(args) -> int:
-    cfg = _config_from(args)
-    pattern = _load_pattern(args, cfg)
-    grid = cfg.make_grid(pattern.window)
+    pattern = _load_pattern(args)
+    grid = _grid(args, pattern.window)
     stat = args.stat.upper()
-    if stat == "G":
-        curve = g_function(pattern, grid)
-    elif stat == "F":
-        curve = f_function(pattern, grid, cfg.n_ref, cfg.seed)
-    else:
-        g = g_function(pattern, grid)
-        f = f_function(pattern, grid, cfg.n_ref, cfg.seed)
-        curve = j_function(g, f)
-    path = _out_path(args, f"ripley_{args.stat.lower()}.csv")
-    write_csv(path, ["d", "value"], zip(grid.values, curve.values))
+    curve = statistic_curve(pattern, grid, stat, args.n_ref, args.seed)
+    path = _out_path(args, f"ripley_{args.stat}.csv")
+    write_csv(path, ["d", "value"], zip(grid.values, curve))
     if args.svg:
-        svg = _out_path(args, f"ripley_{args.stat.lower()}.svg")
-        write_curve_svg(svg, grid.values, [(stat, curve.values)])
+        svg = _out_path(args, f"ripley_{args.stat}.svg")
+        write_curve_svg(svg, grid.values, [(stat, curve)])
         print(f"wrote {svg}")
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_envelope(args) -> int:
-    cfg = _config_from(args)
-    pattern = _load_pattern(args, cfg)
-    grid = cfg.make_grid(pattern.window)
-    result = envelope(pattern, grid, args.stat.upper(), cfg.envelope_m, cfg.seed, cfg.n_ref)
-    path = _out_path(args, f"envelope_{args.stat.lower()}.csv")
+    pattern = _load_pattern(args)
+    grid = _grid(args, pattern.window)
+    result = envelope(pattern, grid, args.stat.upper(), args.envelope_m, args.seed, args.n_ref)
+    path = _out_path(args, f"envelope_{args.stat}.csv")
     write_csv(
         path,
         ["d", "observed", "mean", "lo95", "hi95", "p"],
@@ -348,7 +305,7 @@ def cmd_envelope(args) -> int:
             result.hi95, result.p_values),
     )
     if args.svg:
-        svg = _out_path(args, f"envelope_{args.stat.lower()}.svg")
+        svg = _out_path(args, f"envelope_{args.stat}.svg")
         write_curve_svg(
             svg, grid.values,
             [("observed", result.observed), ("sim mean", result.sim_mean)],
@@ -360,15 +317,14 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config_from(args)
     window = Window(*args.window)
     if (args.p is None) != (args.sigma is None):
         raise InvalidInputError("--p and --sigma must be given together (or neither, for CSR)")
     if args.p is None:
-        pattern = simulate_csr(window, args.n, cfg.seed)
+        pattern = simulate_csr(window, args.n, args.seed)
     else:
         pattern = simulate_reproduction(
-            window, args.n, ReproductionParams(args.p, args.sigma), cfg.seed
+            window, args.n, ReproductionParams(args.p, args.sigma), args.seed
         )
     path = _out_path(args, "simulated_points.csv")
     write_csv(path, ["x", "y"], pattern.coords)
@@ -377,16 +333,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _config_from(args)
-    cfg.p_candidates = parse_range(args.p)
-    cfg.sigma_candidates = parse_range(args.sigma)
-    pattern = _load_pattern(args, cfg)
-    grid = cfg.make_grid(pattern.window)
+    p_candidates = parse_range(args.p)
+    sigma_candidates = parse_range(args.sigma)
+    pattern = _load_pattern(args)
+    grid = _grid(args, pattern.window)
     result = fit(
-        pattern, cfg.p_candidates, cfg.sigma_candidates,
-        n_trials=cfg.n_trials, grid=grid, n_ref=cfg.n_ref, seed=cfg.seed,
+        pattern, p_candidates, sigma_candidates,
+        n_trials=args.n_trials, grid=grid, n_ref=args.n_ref, seed=args.seed,
     )
-    header = ["p", "sigma", "d_total"] + [f"d_{i}" for i in range(1, cfg.n_trials + 1)]
+    header = ["p", "sigma", "d_total"] + [f"d_{i}" for i in range(1, args.n_trials + 1)]
     rows = [[c.p, c.sigma, c.d_total, *c.d_trials] for c in result.table]
     path = _out_path(args, "fit_table.csv")
     write_csv(path, header, rows)
@@ -396,13 +351,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    cfg = _config_from(args)
     if args.global_coords:
         detset = parse_detections_csv(args.detections, True, None)
     else:
-        layout = TileLayout(args.patch_size, args.stride, Point(*args.origin))
+        layout = TileLayout(args.patch_size, args.stride, args.origin)
         detset = parse_detections_csv(args.detections, False, layout)
-    merged = merge_nms(detset.global_boxes(), cfg.iou_threshold)
+    merged = merge_nms(detset.global_boxes(), args.iou_threshold)
     boxes_path = _out_path(args, "merged_boxes.csv")
     write_csv(
         boxes_path,
@@ -410,7 +364,7 @@ def cmd_merge(args) -> int:
         ([b.x_min, b.y_min, b.x_max, b.y_max, b.confidence] for b in merged),
     )
     centers_path = _out_path(args, "merged_centers.csv")
-    write_csv(centers_path, ["x", "y"], ([c.x, c.y] for c in centers(merged)))
+    write_csv(centers_path, ["x", "y"], centers(merged))
     print(f"wrote {boxes_path}")
     print(f"wrote {centers_path}")
     print(f"kept {len(merged)} of {len(detset.boxes)} boxes")
@@ -418,11 +372,10 @@ def cmd_merge(args) -> int:
 
 
 def cmd_count(args) -> int:
-    cfg = _config_from(args)
-    units = _checked_units(cfg.units_per_meter)
+    units = _checked_units(args.units_per_meter)
     detected = _read_rows(args.detected, "x,y") / units
     labeled = _read_rows(args.labeled, "x,y") / units
-    report = match_counts(detected, labeled, cfg.match_radius)
+    report = match_counts(detected, labeled, args.match_radius)
     path = _out_path(args, "count_report.csv")
     write_csv(
         path,
@@ -447,8 +400,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_nn_stats(args) -> int:
-    cfg = _config_from(args)
-    pattern = _load_pattern(args, cfg)
+    pattern = _load_pattern(args)
     stats = nn_stats(pattern, args.k, args.bins)
     stats_path = _out_path(args, "nn_stats.csv")
     write_csv(
@@ -474,12 +426,12 @@ def cmd_nn_stats(args) -> int:
 
 
 def _add_common(sub, points=True):
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"master RNG seed (default {DEFAULT_SEED})")
     sub.add_argument("--out-dir", default=".", help="output directory (default .)")
     if points:
         sub.add_argument("--points", required=True, help="points CSV with header x,y")
-        sub.add_argument("--units-per-meter", type=float, default=None, dest="units_per_meter",
+        sub.add_argument("--units-per-meter", type=float, default=1.0, dest="units_per_meter",
                          help="input units per meter; coordinates are divided by this (default 1)")
         sub.add_argument("--window", type=float, nargs=4, default=None,
                          metavar=("X_MIN", "Y_MIN", "X_MAX", "Y_MAX"),
@@ -487,9 +439,9 @@ def _add_common(sub, points=True):
 
 
 def _add_grid(sub):
-    sub.add_argument("--grid-max", default=None,
+    sub.add_argument("--grid-max", default="auto",
                      help="largest grid distance, or 'auto' for half the shorter window side")
-    sub.add_argument("--grid-steps", type=int, default=None, dest="grid_steps",
+    sub.add_argument("--grid-steps", type=int, default=DEFAULT_GRID_STEPS, dest="grid_steps",
                      help=f"number of grid distances (default {DEFAULT_GRID_STEPS})")
     sub.add_argument("--n-ref", type=int, default=None, dest="n_ref",
                      help="reference points for F (default max(1000, n))")
@@ -513,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     _add_grid(s)
     s.add_argument("--stat", choices=["g", "f", "j"], required=True)
-    s.add_argument("--m", type=int, default=None, dest="envelope_m",
+    s.add_argument("--m", type=int, default=DEFAULT_SIMULATIONS, dest="envelope_m",
                    help=f"number of CSR simulations (default {DEFAULT_SIMULATIONS})")
     s.add_argument("--svg", action="store_true", help="also write an SVG line chart")
     s.set_defaults(func=cmd_envelope)
@@ -534,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(s)
     s.add_argument("--p", required=True, help="candidates, NUMBER or START:STOP:STEP")
     s.add_argument("--sigma", required=True, help="candidates, NUMBER or START:STOP:STEP")
-    s.add_argument("--trials", type=int, default=None, dest="n_trials",
+    s.add_argument("--trials", type=int, default=DEFAULT_TRIALS, dest="n_trials",
                    help=f"simulations per candidate pair (default {DEFAULT_TRIALS})")
     s.set_defaults(func=cmd_fit)
 
@@ -546,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--patch-size", type=int, default=DEFAULT_PATCH_SIZE, dest="patch_size")
     s.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
     s.add_argument("--origin", type=float, nargs=2, default=(0.0, 0.0), metavar=("X", "Y"))
-    s.add_argument("--iou", type=float, default=None, dest="iou_threshold",
+    s.add_argument("--iou", type=float, default=DEFAULT_IOU_THRESHOLD, dest="iou_threshold",
                    help=f"NMS IoU threshold (default {DEFAULT_IOU_THRESHOLD})")
     s.set_defaults(func=cmd_merge)
 
@@ -554,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, points=False)
     s.add_argument("--detected", required=True, help="detected centers CSV (x,y)")
     s.add_argument("--labeled", required=True, help="labeled centers CSV (x,y)")
-    s.add_argument("--radius", type=float, default=None, dest="match_radius",
+    s.add_argument("--radius", type=float, default=DEFAULT_MATCH_RADIUS, dest="match_radius",
                    help=f"match radius in meters (default {DEFAULT_MATCH_RADIUS})")
-    s.add_argument("--units-per-meter", type=float, default=None, dest="units_per_meter")
+    s.add_argument("--units-per-meter", type=float, default=1.0, dest="units_per_meter")
     s.set_defaults(func=cmd_count)
 
     s = subs.add_parser("nn-stats", help="k-nearest-neighbor distance statistics")

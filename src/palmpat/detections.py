@@ -4,13 +4,13 @@ labeled centers."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
-from .geometry import Box, Point
+from .geometry import Box
 
 DEFAULT_PATCH_SIZE = 800
 DEFAULT_STRIDE = 400
@@ -20,13 +20,18 @@ DEFAULT_MATCH_RADIUS = 5.0
 
 @dataclass(frozen=True)
 class TileLayout:
-    """Sliding-window tiling: tile (r, c) starts at origin + (c, r) * stride."""
+    """Sliding-window tiling: tile (r, c) starts at origin + (c, r) * stride,
+    where ``origin`` is an (x, y) pair."""
 
     patch_size: int = DEFAULT_PATCH_SIZE
     stride: int = DEFAULT_STRIDE
-    origin: Point = field(default_factory=lambda: Point(0.0, 0.0))
+    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        x, y = self.origin
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InvalidInputError(f"origin must be finite, got ({x}, {y})")
+        object.__setattr__(self, "origin", (float(x), float(y)))
         if self.patch_size <= 0:
             raise InvalidInputError(f"patch_size must be positive, got {self.patch_size}")
         if not 0 < self.stride <= self.patch_size:
@@ -67,8 +72,8 @@ def to_global(layout: TileLayout, tile_row: int, tile_col: int, box: Box) -> Box
     if tile_row < 0 or tile_col < 0:
         raise InvalidInputError(f"tile indices must be nonnegative, got ({tile_row}, {tile_col})")
     return box.translate(
-        layout.origin.x + tile_col * layout.stride,
-        layout.origin.y + tile_row * layout.stride,
+        layout.origin[0] + tile_col * layout.stride,
+        layout.origin[1] + tile_row * layout.stride,
     )
 
 
@@ -130,8 +135,10 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list[Box]:
     return kept
 
 
-def centers(boxes) -> list[Point]:
-    return [b.center for b in boxes]
+def centers(boxes) -> np.ndarray:
+    """Box centres as an (n, 2) array."""
+    return np.array([((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0)
+                     for b in boxes]).reshape(-1, 2)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Planar geometry primitives: points, windows, patterns, boxes.
+"""Planar geometry primitives: windows, patterns, boxes.
 
 Coordinates are plain floats in working units (meters once any pixel
 scaling has been applied upstream). Containment is boundary-inclusive
@@ -8,22 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
-
-
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidInputError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
 
 @dataclass(frozen=True)
@@ -109,15 +98,6 @@ class PointPattern:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    @property
-    def points(self) -> list[Point]:
-        return [Point(float(x), float(y)) for x, y in self.coords]
-
-    @classmethod
-    def from_points(cls, window: Window, points: Iterable[Point]) -> "PointPattern":
-        coords = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
-        return cls(window, coords)
-
 
 @dataclass(frozen=True)
 class Box:
@@ -142,17 +122,9 @@ class Box:
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
-    @property
-    def center(self) -> Point:
-        return Point((self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0)
-
     def translate(self, dx: float, dy: float) -> "Box":
         return Box(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy,
                    self.confidence)
-
-
-def euclidean_distance(a: Point, b: Point) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 def iou(a: Box, b: Box) -> float:

@@ -35,9 +35,17 @@ def test_parse_range_inclusive_endpoints():
 
 
 def test_parse_range_rejects_bad_specs():
-    for bad in ("1:2", "a:b:c", "1:0:1", "0:1:0"):
+    for bad in ("1:2", "a:b:c", "1:0:1", "0:1:0", "0:inf:0.1", "nan:1:0.1", "0:1:nan",
+                "-inf:0:1", "0:1:inf", "nan"):
         with pytest.raises(InvalidInputError):
             parse_range(bad)
+
+
+def test_fit_rejects_non_finite_range(points_csv, tmp_path, capsys):
+    code = main(["fit", "--points", points_csv, "--p", "0:inf:0.1", "--sigma", "3",
+                 "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: range values must be finite, got '0:inf:0.1'\n"
 
 
 def test_parse_points_roundtrip(tmp_path):
@@ -319,6 +327,122 @@ def test_merge_golden_hashes(mode, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _lcg_points() -> str:
+    """Fixed ``x,y`` CSV made by integer arithmetic only: 60 points on the
+    integer lattice of a 200 x 160 rectangle, some of them coincident."""
+    state = 777
+
+    def draw(k):
+        nonlocal state
+        state = (1103515245 * state + 12345) % 2**31
+        return (state >> 16) % k
+
+    return "x,y\n" + "".join(f"{draw(201)},{draw(161)}\n" for _ in range(60))
+
+
+# Per case: the arguments after the subcommand, then SHA-256 of each output
+# file and of stdout (output directory written as OUT). Recorded before the
+# CLI's config layer and its own G/F/J branch were removed.
+CLI_GOLDEN = {
+    "ripley_g_svg": (
+        ["ripley", "--stat", "g", "--grid-steps", "25", "--svg"],
+        {
+            "ripley_g.csv": "8ae1505555be7ff45b968b47678a2e9db0548bae99ead4df0874de1df68a6694",
+            "ripley_g.svg": "e31f8a80c7216ae325048d1c04f13305aa1b4c92edd1d65d0454ff567fc457fb",
+            "stdout": "d68b5bf080f4a767eb2d2381723fd49b44d47a506923d227b54cd1c45184fd41",
+        },
+    ),
+    "ripley_f": (
+        ["ripley", "--stat", "f", "--grid-steps", "25", "--n-ref", "300", "--seed", "4"],
+        {
+            "ripley_f.csv": "21a8c943020c2210cc098e84ac50f36647e9e3eb5afb7acba6cde9432fc175bb",
+            "stdout": "ed655f65bf659c87ff6b9e13714bf615e7e9847c2a599cd933ec20d1030f6b99",
+        },
+    ),
+    "ripley_j_units": (
+        ["ripley", "--stat", "j", "--grid-steps", "25", "--grid-max", "60",
+         "--units-per-meter", "2", "--seed", "11"],
+        {
+            "ripley_j.csv": "d37c709e1cd99d4c881663251199b72f7c53743cd8d8cca575c3d6f17ee0ade4",
+            "stdout": "7f939b55ab5f385be8be3872f972a99061712befc431e878adda07640079af3d",
+        },
+    ),
+    "ripley_auto_window": (
+        ["ripley", "--stat", "g", "--grid-max", "auto", "--window", "-10", "0", "210", "170"],
+        {
+            "ripley_g.csv": "cf98a4d58943564cb7c57d4924a0f9307598113df7d069733df15b2d26487e4b",
+            "stdout": "fb0a7e6fde9bdabc608353d8edbb6f70f708c4c4a0da64645bd4cc03f42d4326",
+        },
+    ),
+    "envelope_f_svg": (
+        ["envelope", "--stat", "f", "--m", "19", "--grid-steps", "20", "--n-ref", "200",
+         "--seed", "9", "--svg"],
+        {
+            "envelope_f.csv": "0a1d259c2f18531aea0dfc69a715f195a7422dfc5064e46e0603e26c541f51c0",
+            "envelope_f.svg": "d7e217ffee900d0be5a1fcd2dfcae0b412032b01279fe632cd113200b0d12039",
+            "stdout": "17feb4370048dc08de1d05c03f086e0dfc3a8218be1082a5feb1d17adeab7816",
+        },
+    ),
+    "simulate_csr": (
+        ["simulate", "--n", "50", "--window", "0", "0", "100", "80", "--seed", "3"],
+        {
+            "simulated_points.csv": "00a97a4e885b5fea5376e623656873c6b7b8ea957d77b7e22f6117209585cf0c",
+            "stdout": "083c653438a5c84a79c8780776342835c1017b5ce13aa1e0691a203f6a565ac5",
+        },
+    ),
+    "simulate_bimodal": (
+        ["simulate", "--n", "50", "--window", "0", "0", "100", "80", "--p", "0.6",
+         "--sigma", "4", "--seed", "3"],
+        {
+            "simulated_points.csv": "28b7752699f1e41529df214d6baba103773d4a7d97fb0828dc0090fdef02ee61",
+            "stdout": "083c653438a5c84a79c8780776342835c1017b5ce13aa1e0691a203f6a565ac5",
+        },
+    ),
+    "fit": (
+        ["fit", "--p", "0.2:0.6:0.2", "--sigma", "10:20:10", "--trials", "2",
+         "--grid-steps", "15", "--n-ref", "150", "--seed", "7"],
+        {
+            "fit_table.csv": "36074fb5cf047f96b7e2edeb88f5b8ee339dd36874ea354da295d74262e076b4",
+            "stdout": "ba591234d579b464f278d378efd7c04788d885ac1b8c5f51b39877ea0acff2ee",
+        },
+    ),
+    "nn_stats": (
+        ["nn-stats", "--k", "3", "--bins", "8"],
+        {
+            "nn_histogram.csv": "5aba72ec30fb3492cb9d7258a3ebc4ba44db556ffd99f58fa721260bfa74eecd",
+            "nn_stats.csv": "6614e4a946d11f1056b48fcb97bbb64b12913c7f9b9ce34364f0a43fb0ae32a3",
+            "stdout": "2dbbffb70c5133ad2d72dedd3208b0c00c68d377cee8098176173c294939d7c5",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_GOLDEN))
+def test_cli_golden_hashes(case, tmp_path, capsys):
+    argv, expected = CLI_GOLDEN[case]
+    out = tmp_path / "out"
+    if argv[0] != "simulate":
+        argv = [*argv, "--points", write(tmp_path / "pts.csv", _lcg_points())]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(out.iterdir())}
+    got["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert got == expected
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--grid-steps", "1"], "--grid-steps must be >= 2, got 1"),
+    (["--grid-max", "abc"], "--grid-max must be a number or 'auto', got 'abc'"),
+    (["--grid-max", "-1"], "--grid-max must be positive, got -1.0"),
+])
+def test_grid_options_are_data_errors(option, message, tmp_path, capsys):
+    code = main(["ripley", "--stat", "g", "--points", write(tmp_path / "pts.csv", _lcg_points()),
+                 "--window", "0", "0", "200", "160", *option, "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
 def test_count_cli_matches_library(tmp_path, capsys):
     detected = write(tmp_path / "d.csv", "x,y\n1,0\n50,50\n")
     labeled = write(tmp_path / "l.csv", "x,y\n0,0\n10,10\n")
@@ -384,14 +508,15 @@ def test_count_golden_hash(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("units", ["0", "-1"])
+@pytest.mark.parametrize("units", ["0", "-1", "nan", "inf"])
 def test_count_rejects_nonpositive_units(units, tmp_path, capsys):
     detected = write(tmp_path / "d.csv", "x,y\n1,0\n50,50\n")
     labeled = write(tmp_path / "l.csv", "x,y\n0,0\n10,10\n")
     code = main(["count", "--detected", detected, "--labeled", labeled,
                  "--units-per-meter", units, "--out-dir", str(tmp_path / "out")])
     assert code == 3
-    assert f"units_per_meter must be positive, got {float(units)}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"units_per_meter must be positive and finite, got {float(units)}" in err
     assert not (tmp_path / "out" / "count_report.csv").exists()
 
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +6,8 @@ from hypothesis import strategies as st
 from palmpat import (
     Box,
     InvalidInputError,
-    Point,
     PointPattern,
     Window,
-    euclidean_distance,
     iou,
     nearest_neighbor_distances,
 )
@@ -19,42 +15,9 @@ from oracles import brute_knn_distances
 
 UNIT = Window(0.0, 0.0, 1.0, 1.0)
 
-finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
-
 
 def pattern_on(window, coords):
     return PointPattern(window, np.asarray(coords, dtype=float))
-
-
-# ---------------------------------------------------------------- distance
-
-
-def test_distance_pythagorean_triple():
-    assert euclidean_distance(Point(0, 0), Point(3, 4)) == 5.0
-
-
-def test_distance_identity():
-    assert euclidean_distance(Point(1, 1), Point(1, 1)) == 0.0
-
-
-def test_distance_unit_diagonal():
-    assert euclidean_distance(Point(0, 0), Point(1, 1)) == pytest.approx(math.sqrt(2), rel=1e-15)
-
-
-@given(
-    ax=finite_coord, ay=finite_coord, bx=finite_coord, by=finite_coord,
-    dx=finite_coord, dy=finite_coord,
-    theta=st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False),
-)
-def test_distance_rigid_motion_invariance(ax, ay, bx, by, dx, dy, theta):
-    base = euclidean_distance(Point(ax, ay), Point(bx, by))
-    c, s = math.cos(theta), math.sin(theta)
-
-    def move(x, y):
-        return Point(c * x - s * y + dx, s * x + c * y + dy)
-
-    moved = euclidean_distance(move(ax, ay), move(bx, by))
-    assert moved == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------- boxes
@@ -137,11 +100,6 @@ def test_pattern_coords_immutable():
     p = pattern_on(UNIT, [[0.5, 0.5]])
     with pytest.raises(ValueError):
         p.coords[0, 0] = 0.1
-
-
-def test_point_rejects_non_finite():
-    with pytest.raises(InvalidInputError):
-        Point(float("nan"), 0.0)
 
 
 # ---------------------------------------------------------------- nearest neighbors
