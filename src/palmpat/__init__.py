@@ -2,7 +2,6 @@
 and detection postprocessing."""
 
 from .detections import (
-    DetectionSet,
     MatchReport,
     TileLayout,
     centers,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Box",
     "DEFAULT_SEED",
-    "DetectionSet",
     "DistanceGrid",
     "EnvelopeResult",
     "FitCell",

@@ -37,15 +37,15 @@ from .detections import (
     DEFAULT_MATCH_RADIUS,
     DEFAULT_PATCH_SIZE,
     DEFAULT_STRIDE,
-    DetectionSet,
     TileLayout,
     centers,
     match_counts,
     merge_nms,
+    to_global,
 )
 from .envelope import DEFAULT_SIMULATIONS, envelope, simulate_csr, statistic_curve
 from .errors import InvalidInputError
-from .geometry import Box, PointPattern, Window
+from .geometry import PointPattern, Window
 from .reproduction import DEFAULT_TRIALS, ReproductionParams, fit, simulate_reproduction
 from .ripley import DEFAULT_GRID_STEPS, DistanceGrid, nn_stats
 from .seeding import DEFAULT_SEED
@@ -55,6 +55,7 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
+MAX_RANGE_VALUES = 10_000
 
 
 # ---------------------------------------------------------------- parsing
@@ -78,8 +79,10 @@ def parse_range(text: str) -> list[float]:
         raise InvalidInputError(f"range step must be positive, got {step}")
     if stop < start:
         raise InvalidInputError(f"range stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [round(start + i * step, 12) for i in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_RANGE_VALUES:  # also an infinite span
+        raise InvalidInputError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
+    return [round(start + i * step, 12) for i in range(math.floor(span) + 1)]
 
 
 def _read_rows(path, expected_header: str):
@@ -154,21 +157,6 @@ def parse_points_csv(
         window = Window(float(x_min), float(y_min), float(x_max), float(y_max))
         logger.info("no --window given; using the points' bounding box %s", window)
     return PointPattern(window, coords)
-
-
-def parse_detections_csv(path, global_coords: bool, layout: TileLayout | None) -> DetectionSet:
-    if global_coords:
-        rows = _read_rows(path, "x_min,y_min,x_max,y_max,confidence")
-        boxes = tuple((0, 0, Box(*row)) for row in rows.tolist())
-        return DetectionSet(None, boxes)
-    rows = _read_rows(path, "tile_row,tile_col,x_min,y_min,x_max,y_max,confidence")
-    boxes = []
-    for row in rows.tolist():
-        r, c = row[0], row[1]
-        if r != int(r) or c != int(c):
-            raise InvalidInputError(f"{path}: tile indices must be integers, got ({r}, {c})")
-        boxes.append((int(r), int(c), Box(*row[2:])))
-    return DetectionSet(layout, tuple(boxes))
 
 
 # ---------------------------------------------------------------- output
@@ -265,6 +253,8 @@ def _grid(args, window: Window) -> DistanceGrid:
         raise InvalidInputError(f"--grid-steps must be >= 2, got {args.grid_steps}")
     if grid_max == "auto":
         return DistanceGrid.default(window, args.grid_steps)
+    if not math.isfinite(grid_max):
+        raise InvalidInputError(f"--grid-max must be finite, got {grid_max}")
     if grid_max <= 0:
         raise InvalidInputError(f"--grid-max must be positive, got {grid_max}")
     return DistanceGrid(np.linspace(0.0, grid_max, args.grid_steps))
@@ -352,22 +342,19 @@ def cmd_fit(args) -> int:
 
 def cmd_merge(args) -> int:
     if args.global_coords:
-        detset = parse_detections_csv(args.detections, True, None)
+        boxes = _read_rows(args.detections, "x_min,y_min,x_max,y_max,confidence")
     else:
         layout = TileLayout(args.patch_size, args.stride, args.origin)
-        detset = parse_detections_csv(args.detections, False, layout)
-    merged = merge_nms(detset.global_boxes(), args.iou_threshold)
+        boxes = to_global(layout, _read_rows(
+            args.detections, "tile_row,tile_col,x_min,y_min,x_max,y_max,confidence"))
+    merged = boxes[merge_nms(boxes, args.iou_threshold)]
     boxes_path = _out_path(args, "merged_boxes.csv")
-    write_csv(
-        boxes_path,
-        ["x_min", "y_min", "x_max", "y_max", "confidence"],
-        ([b.x_min, b.y_min, b.x_max, b.y_max, b.confidence] for b in merged),
-    )
+    write_csv(boxes_path, ["x_min", "y_min", "x_max", "y_max", "confidence"], merged.tolist())
     centers_path = _out_path(args, "merged_centers.csv")
     write_csv(centers_path, ["x", "y"], centers(merged))
     print(f"wrote {boxes_path}")
     print(f"wrote {centers_path}")
-    print(f"kept {len(merged)} of {len(detset.boxes)} boxes")
+    print(f"kept {len(merged)} of {len(boxes)} boxes")
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
-from .geometry import Box
+from .geometry import Box, iou
 
 DEFAULT_PATCH_SIZE = 800
 DEFAULT_STRIDE = 400
@@ -40,68 +40,94 @@ class TileLayout:
             )
 
 
-@dataclass(frozen=True)
-class DetectionSet:
-    """Boxes tagged with their tile of origin; ``layout=None`` means the
-    coordinates are already global."""
-
-    layout: TileLayout | None
-    boxes: tuple[tuple[int, int, Box], ...]
-
-    def __post_init__(self):
-        boxes = tuple((int(r), int(c), b) for r, c, b in self.boxes)
-        for r, c, b in boxes:
-            if r < 0 or c < 0:
-                raise InvalidInputError(f"tile indices must be nonnegative, got ({r}, {c})")
-            if self.layout is not None:
-                s = self.layout.patch_size
-                if not (0.0 <= b.x_min and b.x_max <= s and 0.0 <= b.y_min and b.y_max <= s):
-                    raise InvalidInputError(
-                        f"box {b} exceeds the {s}x{s} patch extent of tile ({r}, {c})"
-                    )
-        object.__setattr__(self, "boxes", boxes)
-
-    def global_boxes(self) -> list[Box]:
-        if self.layout is None:
-            return [b for _, _, b in self.boxes]
-        return [to_global(self.layout, r, c, b) for r, c, b in self.boxes]
+def _rows(rows, width: int, name: str) -> np.ndarray:
+    """``rows`` as an (n, width) float array of finite values."""
+    try:
+        arr = np.asarray(rows, dtype=float)
+        arr = arr.reshape(0, width) if arr.size == 0 else arr
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != width or not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} must be an (n, {width}) array of finite values")
+    return arr
 
 
-def to_global(layout: TileLayout, tile_row: int, tile_col: int, box: Box) -> Box:
-    """Translate a patch-local box into global coordinates."""
-    if tile_row < 0 or tile_col < 0:
-        raise InvalidInputError(f"tile indices must be nonnegative, got ({tile_row}, {tile_col})")
-    return box.translate(
-        layout.origin[0] + tile_col * layout.stride,
-        layout.origin[1] + tile_row * layout.stride,
-    )
+def _raise_first(checks) -> None:
+    """Raise for the first row that fails any of ``checks``, a list of
+    (bad-row mask, message for row k) pairs; within that row the earliest
+    failing check names the fault."""
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    if bad.size:
+        k = int(bad[0])
+        raise InvalidInputError(next(message(k) for mask, message in checks if mask[k]))
 
 
-def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list[Box]:
-    """Greedy non-maximum suppression.
+def _box_checks(boxes: np.ndarray):
+    """Positive area and confidence in [0, 1], for ``_raise_first``."""
+    x0, y0, x1, y1, conf = boxes.T
+    return [
+        (~((x0 < x1) & (y0 < y1)),
+         lambda k: f"box must have positive area, got {tuple(boxes[k, :4].tolist())}"),
+        (~((0.0 <= conf) & (conf <= 1.0)),
+         lambda k: f"confidence must be in [0, 1], got {conf[k].item()}"),
+    ]
+
+
+def to_global(layout: TileLayout, detections) -> np.ndarray:
+    """Translate patch-local detections into global boxes.
+
+    ``detections`` holds (n, 7) rows ``tile_row, tile_col, x_min, y_min,
+    x_max, y_max, confidence``; a box in tile (r, c) moves by
+    ``origin + (c, r) * stride``. Returns the (n, 5) global boxes. Every row
+    is checked for integer tile indices, positive area and confidence
+    before any row is checked for nonnegative tile indices and the patch
+    extent; the first bad row raises.
+    """
+    rows = _rows(detections, 7, "detections")
+    tiles, local = rows[:, :2], rows[:, 2:]
+    _raise_first([
+        ((tiles != np.floor(tiles)).any(axis=1),
+         lambda k: f"tile indices must be integers, got {tuple(tiles[k].tolist())}"),
+        *_box_checks(local),
+    ])
+    s = layout.patch_size
+    _raise_first([
+        ((tiles < 0).any(axis=1),
+         lambda k: f"tile indices must be nonnegative, got {tuple(map(int, tiles[k]))}"),
+        ((local[:, :2] < 0.0).any(axis=1) | (local[:, 2:4] > s).any(axis=1),
+         lambda k: f"box {Box(*local[k].tolist())} exceeds the {s}x{s} patch extent "
+                   f"of tile {tuple(map(int, tiles[k]))}"),
+    ])
+    with np.errstate(over="ignore"):  # merge_nms rejects a coordinate that overflows
+        offset = np.asarray(layout.origin) + tiles[:, ::-1] * layout.stride
+        return np.column_stack((local[:, :2] + offset, local[:, 2:4] + offset, local[:, 4]))
+
+
+def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> np.ndarray:
+    """Greedy non-maximum suppression over (n, 5) box rows.
 
     Boxes are visited by descending confidence (input order breaks ties);
     a box is kept iff its IoU with every already-kept box stays below the
-    threshold. Returns kept boxes in visit order.
+    threshold. Returns the indices of the kept boxes in visit order.
 
     Only box pairs that can intersect are compared: a pair that does not
     intersect has IoU 0, which is below any threshold in (0, 1], so it can
     never suppress. Two boxes intersect only if their centres lie within
     the largest box extent of each other in every axis, so one k-d tree
-    pair query finds every candidate pair, and their IoU is computed with
-    the arithmetic of ``geometry.iou``. The kept list is therefore exactly
-    that of comparing each candidate with every kept box, at a cost of
-    about O(n log n + intersecting pairs) instead of O(n * kept).
+    pair query finds every candidate pair, and ``geometry.iou`` scores them
+    all at once. The kept list is therefore exactly that of comparing each
+    candidate with every kept box, at a cost of about O(n log n +
+    intersecting pairs) instead of O(n * kept).
     """
+    boxes = _rows(boxes, 5, "boxes")
+    _raise_first(_box_checks(boxes))
     if not 0.0 < iou_threshold <= 1.0:
         raise InvalidInputError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    boxes = list(boxes)
     n = len(boxes)
-    arr = np.array([(b.x_min, b.y_min, b.x_max, b.y_max, b.confidence) for b in boxes],
-                   dtype=float).reshape(n, 5)
-    order = np.argsort(-arr[:, 4], kind="stable")
+    order = np.argsort(-boxes[:, 4], kind="stable")
     # Row k of the arrays below is the k-th box visited.
-    x0, y0, x1, y1 = arr[order, :4].T
+    ranked = boxes[order]
+    x0, y0, x1, y1 = ranked[:, :4].T
 
     # Halved before adding so that neither sum overflows.
     centres = np.column_stack((0.5 * x0 + 0.5 * x1, 0.5 * y0 + 0.5 * y1))
@@ -112,14 +138,7 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list[Box]:
     # Pairs come as (i, j) with i < j: box i is visited first, so only it
     # can suppress the other.
     i, j = cKDTree(centres).query_pairs(reach, p=np.inf, output_type="ndarray").T
-
-    iw = np.minimum(x1[i], x1[j]) - np.maximum(x0[i], x0[j])
-    ih = np.minimum(y1[i], y1[j]) - np.maximum(y0[i], y0[j])
-    hit = (iw > 0.0) & (ih > 0.0)
-    i, j, iw, ih = i[hit], j[hit], iw[hit], ih[hit]
-    area = (x1 - x0) * (y1 - y0)
-    inter = iw * ih
-    close = inter / (area[i] + area[j] - inter) >= iou_threshold
+    close = iou(ranked[i], ranked[j]) >= iou_threshold
     i, j = i[close], j[close]
     by_first = np.argsort(i)
     later = j[by_first]
@@ -130,15 +149,15 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list[Box]:
     for k in range(n):
         if suppressed[k]:
             continue
-        kept.append(boxes[order[k]])
+        kept.append(k)
         suppressed[later[bounds[k]:bounds[k + 1]]] = True
-    return kept
+    return order[kept]
 
 
 def centers(boxes) -> np.ndarray:
-    """Box centres as an (n, 2) array."""
-    return np.array([((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0)
-                     for b in boxes]).reshape(-1, 2)
+    """Centres of (n, 5) box rows as an (n, 2) array."""
+    boxes = _rows(boxes, 5, "boxes")
+    return (boxes[:, :2] + boxes[:, 2:4]) / 2.0
 
 
 @dataclass(frozen=True)
@@ -164,17 +183,6 @@ class MatchReport:
     shift_std: float
 
 
-def _coords(points, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(points, dtype=float)
-        arr = arr.reshape(0, 2) if arr.size == 0 else arr
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or not np.isfinite(arr).all():
-        raise InvalidInputError(f"{name} must be an (n, 2) array of finite coordinates")
-    return arr
-
-
 def match_counts(detected, labeled, radius: float = DEFAULT_MATCH_RADIUS) -> MatchReport:
     """Greedily pair detections with labels, nearest pairs first.
 
@@ -186,8 +194,8 @@ def match_counts(detected, labeled, radius: float = DEFAULT_MATCH_RADIUS) -> Mat
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise InvalidInputError(f"radius must be positive, got {radius}")
-    detected = _coords(detected, "detected")
-    labeled = _coords(labeled, "labeled")
+    detected = _rows(detected, 2, "detected")
+    labeled = _rows(labeled, 2, "labeled")
     n_lab, n_det = len(labeled), len(detected)
 
     # Query a hair wide, then gate on the recomputed distance so the

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -99,9 +100,9 @@ class PointPattern:
         return self.coords.shape[0]
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned bounding box with a detection confidence in [0, 1]."""
+class Box(NamedTuple):
+    """One unvalidated row of an (n, 5) box array; the library checks boxes
+    where they enter ``merge_nms`` or ``to_global``."""
 
     x_min: float
     y_min: float
@@ -109,32 +110,19 @@ class Box:
     y_max: float
     confidence: float = 1.0
 
-    def __post_init__(self):
-        bounds = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(v) for v in bounds):
-            raise InvalidInputError(f"box bounds must be finite, got {bounds}")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise InvalidInputError(f"box must have positive area, got {bounds}")
-        if not (math.isfinite(self.confidence) and 0.0 <= self.confidence <= 1.0):
-            raise InvalidInputError(f"confidence must be in [0, 1], got {self.confidence}")
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-    def translate(self, dx: float, dy: float) -> "Box":
-        return Box(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy,
-                   self.confidence)
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union; 0 when the interiors are disjoint."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
+def iou(a, b):
+    """Intersection over union of box rows ``a`` and ``b`` (broadcast over
+    leading axes); 0 where the interiors are disjoint."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    out = np.zeros(inter.shape)
+    np.divide(inter, area_a + area_b - inter, out=out, where=(iw > 0.0) & (ih > 0.0))
+    return out[()]
 
 
 def nearest_neighbor_distances(pattern: PointPattern, k: int = 1) -> np.ndarray:

@@ -69,6 +69,19 @@ def brute_nms(boxes, threshold):
     return kept
 
 
+def brute_to_global(layout, rows):
+    """Patch-local (tile_row, tile_col, box...) rows moved into global
+    coordinates one row at a time with Python floats: the tile offset is
+    ``origin + index * stride`` with an exact integer product, then each
+    bound gets its axis offset added."""
+    out = []
+    for r, c, x0, y0, x1, y1, conf in rows:
+        dx = layout.origin[0] + int(c) * layout.stride
+        dy = layout.origin[1] + int(r) * layout.stride
+        out.append((x0 + dx, y0 + dy, x1 + dx, y1 + dy, conf))
+    return out
+
+
 def piecewise_linear_integral(xs, ys):
     """Exact integral of the linear interpolant via the midpoint rule, which
     is also exact for degree-1 segments but uses different arithmetic."""

@@ -36,9 +36,15 @@ def test_parse_range_inclusive_endpoints():
 
 def test_parse_range_rejects_bad_specs():
     for bad in ("1:2", "a:b:c", "1:0:1", "0:1:0", "0:inf:0.1", "nan:1:0.1", "0:1:nan",
-                "-inf:0:1", "0:1:inf", "nan"):
+                "-inf:0:1", "0:1:inf", "nan", "0:1e308:1e-300", "0:1:1e-300"):
         with pytest.raises(InvalidInputError):
             parse_range(bad)
+
+
+def test_parse_range_caps_the_value_count():
+    assert len(parse_range("0:9999:1")) == 10_000
+    with pytest.raises(InvalidInputError, match="more than 10000 values"):
+        parse_range("0:10000:1")
 
 
 def test_fit_rejects_non_finite_range(points_csv, tmp_path, capsys):
@@ -263,6 +269,60 @@ def test_merge_global_mode(tmp_path, capsys):
     capsys.readouterr()
 
 
+_TILED = "tile_row,tile_col,x_min,y_min,x_max,y_max,confidence\n"
+_GLOBAL = "x_min,y_min,x_max,y_max,confidence\n"
+_LAYOUT = ["--patch-size", "100", "--stride", "50"]
+_AREA = "box must have positive area, got "
+_INTEGER = "tile indices must be integers, got "
+
+# (detections file, options, stderr after "error: "), recorded before boxes
+# became arrays; since then the tile-index message has lost its "<path>: "
+# prefix, and a tile offset that overflows, then a traceback, was added.
+# When several rows are bad, every row is checked for non-integer tiles, zero
+# area and confidence before any row is checked for negative tiles and the
+# patch extent.
+MERGE_ERRORS = {
+    "non_integer_tile": (_TILED + "0,0,1,1,2,2,0.5\n0.5,0,1,1,2,2,0.5\n", _LAYOUT,
+                         _INTEGER + "(0.5, 0.0)"),
+    "negative_tile": (_TILED + "0,0,1,1,2,2,0.5\n0,-1,1,1,2,2,0.5\n", _LAYOUT,
+                      "tile indices must be nonnegative, got (0, -1)"),
+    "outside_patch": (_TILED + "1,2,10,10,120,40,0.5\n", _LAYOUT,
+                      "box Box(x_min=10.0, y_min=10.0, x_max=120.0, y_max=40.0, confidence=0.5)"
+                      " exceeds the 100x100 patch extent of tile (1, 2)"),
+    "zero_area_tiled": (_TILED + "0,0,1,1,1,2,0.5\n", _LAYOUT, _AREA + "(1.0, 1.0, 1.0, 2.0)"),
+    "zero_area_global": (_GLOBAL + "0,0,1,1,0.5\n0,0,0,1,0.5\n", ["--global"],
+                         _AREA + "(0.0, 0.0, 0.0, 1.0)"),
+    "confidence_tiled": (_TILED + "0,0,1,1,2,2,1.5\n", _LAYOUT,
+                         "confidence must be in [0, 1], got 1.5"),
+    "confidence_global": (_GLOBAL + "0,0,1,1,-0.25\n", ["--global"],
+                          "confidence must be in [0, 1], got -0.25"),
+    "non_integer_before_zero_area": (_TILED + "0,0.5,1,1,2,2,0.5\n0,0,1,1,1,2,0.5\n", _LAYOUT,
+                                     _INTEGER + "(0.0, 0.5)"),
+    "zero_area_before_non_integer": (_TILED + "0,0,1,1,2,1,0.5\n0,0.5,1,1,2,2,0.5\n", _LAYOUT,
+                                     _AREA + "(1.0, 1.0, 2.0, 1.0)"),
+    "zero_area_beats_earlier_negative": (
+        _TILED + "0,0,1,1,2,2,0.5\n-1,0,1,1,2,2,0.5\n0,0,1,1,1,2,0.5\n", _LAYOUT,
+        _AREA + "(1.0, 1.0, 1.0, 2.0)"),
+    "extent_before_negative": (_TILED + "0,0,1,1,200,2,0.5\n-1,0,1,1,2,2,0.5\n", _LAYOUT,
+                               "box Box(x_min=1.0, y_min=1.0, x_max=200.0, y_max=2.0,"
+                               " confidence=0.5) exceeds the 100x100 patch extent of tile (0, 0)"),
+    "zero_area_before_iou": (_GLOBAL + "0,0,0,1,0.5\n", ["--global", "--iou", "0"],
+                             _AREA + "(0.0, 0.0, 0.0, 1.0)"),
+    "origin_rounds_to_zero_area": (_TILED + "0,0,0,0,1,1,0.5\n", ["--origin", "1e17", "0"],
+                                   _AREA + "(1e+17, 0.0, 1e+17, 1.0)"),
+    "tile_offset_overflows": (_TILED + "0,1e306,0,0,1,1,0.5\n", [],
+                              "boxes must be an (n, 5) array of finite values"),
+}
+
+
+@pytest.mark.parametrize("case", list(MERGE_ERRORS))
+def test_merge_errors(case, tmp_path, capsys):
+    text, options, message = MERGE_ERRORS[case]
+    det = write(tmp_path / "det.csv", text)
+    code = main(["merge", "--detections", det, *options, "--out-dir", str(tmp_path / "out")])
+    assert (code, capsys.readouterr()) == (3, ("", f"error: {message}\n"))
+
+
 def _lcg_detections(tiled: bool) -> str:
     """Fixed detections CSV made by integer arithmetic only, so it is the
     same on every platform: 60 crowns in a 150-unit square, each seen by
@@ -435,7 +495,10 @@ def test_cli_golden_hashes(case, tmp_path, capsys):
     (["--grid-steps", "1"], "--grid-steps must be >= 2, got 1"),
     (["--grid-max", "abc"], "--grid-max must be a number or 'auto', got 'abc'"),
     (["--grid-max", "-1"], "--grid-max must be positive, got -1.0"),
+    (["--grid-max", "inf"], "--grid-max must be finite, got inf"),
+    (["--grid-max", "nan"], "--grid-max must be finite, got nan"),
 ])
+@pytest.mark.filterwarnings("error")  # numpy must not warn before the message
 def test_grid_options_are_data_errors(option, message, tmp_path, capsys):
     code = main(["ripley", "--stat", "g", "--points", write(tmp_path / "pts.csv", _lcg_points()),
                  "--window", "0", "0", "200", "160", *option, "--out-dir", str(tmp_path)])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from palmpat import (
     Box,
-    DetectionSet,
     InvalidInputError,
     TileLayout,
     centers,
@@ -18,7 +16,11 @@ from palmpat import (
     merge_nms,
     to_global,
 )
-from oracles import brute_match, brute_nms
+from oracles import brute_match, brute_nms, brute_to_global
+
+
+def nms_boxes(boxes, threshold):
+    return [boxes[i] for i in merge_nms(boxes, threshold)]
 
 
 def random_boxes(rng, n, span=100.0, max_side=20.0):
@@ -36,31 +38,62 @@ def random_boxes(rng, n, span=100.0, max_side=20.0):
 def test_to_global_identity_tile():
     layout = TileLayout(800, 400, (0.0, 0.0))
     box = Box(10, 20, 100, 120, 0.9)
-    assert to_global(layout, 0, 0, box) == box
+    assert to_global(layout, [[0, 0, *box]]).tolist() == [list(box)]
 
 
 def test_to_global_offsets():
     layout = TileLayout(800, 400, (0.0, 0.0))
-    box = Box(10, 20, 100, 120, 0.9)
-    moved = to_global(layout, 2, 1, box)
-    assert (moved.x_min, moved.y_min, moved.x_max, moved.y_max) == (410, 820, 500, 920)
-    assert moved.confidence == 0.9
+    moved = to_global(layout, [[2, 1, 10, 20, 100, 120, 0.9]])
+    assert moved.tolist() == [[410, 820, 500, 920, 0.9]]
 
 
 def test_to_global_round_trip():
     layout = TileLayout(800, 400, (50.0, -30.0))
     box = Box(5, 6, 300, 400, 0.4)
-    moved = to_global(layout, 3, 7, box)
-    back = moved.translate(
-        -(layout.origin[0] + 7 * layout.stride), -(layout.origin[1] + 3 * layout.stride)
-    )
-    assert back == box
+    moved = to_global(layout, [[3, 7, *box]])[0]
+    dx, dy = layout.origin[0] + 7 * layout.stride, layout.origin[1] + 3 * layout.stride
+    assert (moved - [dx, dy, dx, dy, 0.0]).tolist() == list(box)
 
 
 def test_to_global_rejects_negative_tiles():
     layout = TileLayout()
     with pytest.raises(InvalidInputError):
-        to_global(layout, -1, 0, Box(0, 0, 1, 1))
+        to_global(layout, [[-1, 0, 0, 0, 1, 1, 1.0]])
+
+
+_origins = st.sampled_from([0.0, 1e6 + 0.1, -3e7])
+
+
+@st.composite
+def _tiled_rows(draw):
+    """A layout and patch-local rows inside its patch extent, on integer or
+    fractional bounds."""
+    patch = draw(st.integers(1, 2000))
+    layout = TileLayout(patch, draw(st.integers(1, patch)), (draw(_origins), draw(_origins)))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        bounds = []
+        for _ in range(2):
+            if draw(st.booleans()):
+                lo = draw(st.integers(0, patch - 1))
+                hi = draw(st.integers(lo + 1, patch))
+            else:
+                lo, hi = sorted(draw(st.lists(st.floats(0.0, float(patch)), min_size=2,
+                                              max_size=2, unique=True)))
+            bounds.append((lo, hi))
+        (x0, x1), (y0, y1) = bounds
+        tile = draw(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
+        rows.append((*tile, x0, y0, x1, y1, draw(st.floats(0.0, 1.0))))
+    return layout, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_tiled_rows())
+def test_to_global_is_bit_equal_to_scalar_translation(case):
+    layout, rows = case
+    got = to_global(layout, rows)
+    want = np.array(brute_to_global(layout, rows), dtype=float).reshape(-1, 5)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_layout_requires_overlappable_stride():
@@ -77,19 +110,12 @@ def test_layout_rejects_non_finite_origin(origin):
         TileLayout(800, 400, origin)
 
 
-def test_detection_set_validates_patch_extent():
+def test_to_global_validates_patch_extent():
     layout = TileLayout(100, 50)
     with pytest.raises(InvalidInputError):
-        DetectionSet(layout, ((0, 0, Box(10, 10, 120, 40, 0.5)),))
-    ds = DetectionSet(layout, ((1, 2, Box(10, 10, 90, 40, 0.5)),))
-    g = ds.global_boxes()[0]
-    assert (g.x_min, g.y_min) == (10 + 2 * 50, 10 + 1 * 50)
-
-
-def test_detection_set_global_passthrough():
-    boxes = ((0, 0, Box(1000, 1000, 1100, 1080, 0.7)),)
-    ds = DetectionSet(None, boxes)
-    assert ds.global_boxes() == [boxes[0][2]]
+        to_global(layout, [[0, 0, 10, 10, 120, 40, 0.5]])
+    g = to_global(layout, [[1, 2, 10, 10, 90, 40, 0.5]])[0]
+    assert (g[0], g[1]) == (10 + 2 * 50, 10 + 1 * 50)
 
 
 # ---------------------------------------------------------------- NMS
@@ -98,20 +124,20 @@ def test_detection_set_global_passthrough():
 def test_nms_keeps_highest_confidence_duplicate():
     a = Box(0, 0, 2, 2, 0.9)
     b = Box(0, 0, 2, 2, 0.8)
-    assert merge_nms([b, a], 0.5) == [a]
+    assert nms_boxes([b, a], 0.5) == [a]
 
 
 def test_nms_keeps_weak_overlaps():
     a = Box(0, 0, 2, 2, 0.9)
     b = Box(1, 1, 3, 3, 0.8)  # IoU 1/7 < 0.5
-    assert merge_nms([a, b], 0.5) == [a, b]
+    assert nms_boxes([a, b], 0.5) == [a, b]
 
 
 def test_nms_confidence_tie_prefers_earlier_input():
     a = Box(0, 0, 2, 2, 0.9)
     b = Box(0.1, 0, 2.1, 2, 0.9)
-    assert merge_nms([a, b], 0.5) == [a]
-    assert merge_nms([b, a], 0.5) == [b]
+    assert nms_boxes([a, b], 0.5) == [a]
+    assert nms_boxes([b, a], 0.5) == [b]
 
 
 def test_nms_matches_brute_force_reference():
@@ -119,7 +145,7 @@ def test_nms_matches_brute_force_reference():
     for _ in range(100):
         boxes = random_boxes(rng, 50)
         threshold = float(rng.uniform(0.1, 0.9))
-        assert merge_nms(boxes, threshold) == brute_nms(boxes, threshold)
+        assert nms_boxes(boxes, threshold) == brute_nms(boxes, threshold)
 
 
 @settings(max_examples=50, deadline=None)
@@ -128,7 +154,7 @@ def test_nms_matches_brute_force_reference():
 def test_nms_output_subset_with_bounded_overlap(seed, threshold):
     rng = np.random.default_rng(seed)
     boxes = random_boxes(rng, 25)
-    kept = merge_nms(boxes, threshold)
+    kept = nms_boxes(boxes, threshold)
     assert all(k in boxes for k in kept)
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
@@ -157,14 +183,15 @@ def _crowded_boxes(draw):
     boxes = draw(st.lists(_box, max_size=30))
     if boxes:
         copies = draw(st.lists(st.sampled_from(boxes), max_size=8))
-        boxes += [dataclasses.replace(b) for b in copies]
+        boxes += [Box(*b) for b in copies]
     if draw(st.booleans()):
         x, y, short = draw(_near(12)), draw(_near(12)), draw(_near(3)) + 1.0
         long = draw(st.sampled_from([40.0, 1000.0]))
         w, h = (long, short) if draw(st.booleans()) else (short, long)
         boxes.append(Box(x - w / 2, y - h / 2, x + w / 2, y + h / 2, draw(_confidence)))
     shift = draw(st.sampled_from([0.0, 1e6 + 0.1, -3e7]))
-    boxes = [b.translate(shift, -shift) for b in boxes]
+    boxes = [Box(x0 + shift, y0 - shift, x1 + shift, y1 - shift, c)
+             for x0, y0, x1, y1, c in boxes]
     return draw(st.permutations(boxes))
 
 
@@ -179,7 +206,7 @@ def _crowded_boxes(draw):
 @example(boxes=[Box(0, 0, 1, 1, 0.2 if c == "b" else 0.5) for c in "bbaaaaaabbabaaabbaa"],
          threshold=0.5)  # ties that an unstable sort reorders
 def test_nms_matches_brute_force_on_degenerate_inputs(boxes, threshold):
-    kept = merge_nms(boxes, threshold)
+    kept = nms_boxes(boxes, threshold)
     expected = brute_nms(boxes, threshold)
     assert kept == expected
     assert all(a is b for a, b in zip(kept, expected))
@@ -201,20 +228,20 @@ def test_nms_scales_to_a_site():
     jitter = rng.normal(0.0, 1.5, (crown.size, 4))
     rows = np.hstack([lo[crown], hi[crown]]) + jitter
     conf = rng.uniform(0.05, 1.0, crown.size)
-    boxes = [Box(*r, c) for r, c in zip(rows.tolist(), conf.tolist())]
+    boxes = np.column_stack((rows, conf))
     assert len(boxes) > 100_000
 
     start = time.perf_counter()
     kept = merge_nms(boxes, 0.5)
     assert time.perf_counter() - start < 30.0
     assert 0.95 * n_crowns <= len(kept) <= n_crowns
-    assert all(a.confidence >= b.confidence for a, b in zip(kept, kept[1:]))
+    assert (np.diff(boxes[kept, 4]) <= 0.0).all()
 
 
 def test_nms_threshold_validation():
     with pytest.raises(InvalidInputError):
         merge_nms([], 0.0)
-    assert merge_nms([], 0.5) == []
+    assert merge_nms([], 0.5).tolist() == []
 
 
 # ---------------------------------------------------------------- centers

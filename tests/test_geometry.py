@@ -9,6 +9,7 @@ from palmpat import (
     PointPattern,
     Window,
     iou,
+    merge_nms,
     nearest_neighbor_distances,
 )
 from oracles import brute_knn_distances
@@ -59,12 +60,9 @@ def test_iou_symmetric_and_bounded(a, b):
 
 
 def test_box_validation():
-    with pytest.raises(InvalidInputError):
-        Box(0, 0, 0, 1)
-    with pytest.raises(InvalidInputError):
-        Box(0, 0, 1, 1, confidence=1.5)
-    with pytest.raises(InvalidInputError):
-        Box(0, 0, 1, float("inf"))
+    for bad in (Box(0, 0, 0, 1), Box(0, 0, 1, 1, confidence=1.5), Box(0, 0, 1, float("inf"))):
+        with pytest.raises(InvalidInputError):
+            merge_nms([bad])
 
 
 # ---------------------------------------------------------------- windows and patterns
