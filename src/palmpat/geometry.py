@@ -31,6 +31,8 @@ class Window:
             raise InvalidInputError(f"window bounds must be finite, got {bounds}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidInputError(f"window must have positive area, got {bounds}")
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise InvalidInputError(f"window width and height must be finite, got {bounds}")
 
     @property
     def width(self) -> float:
@@ -43,10 +45,6 @@ class Window:
     @property
     def shorter_side(self) -> float:
         return min(self.width, self.height)
-
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.width, self.height)
 
     @property
     def area(self) -> float:
@@ -138,14 +136,6 @@ def nearest_neighbor_distances(pattern: PointPattern, k: int = 1) -> np.ndarray:
         raise InvalidInputError(f"nearest-neighbor query needs at least 2 points, got {n}")
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"k must be in [1, {n - 1}], got {k}")
-    tree = cKDTree(pattern.coords)
-    dist, idx = tree.query(pattern.coords, k=k + 1)
-    out = dist[:, 1:].copy()
-    # With coincident points the self-match may land anywhere in the row
-    # (distance ties); drop exactly one self entry per row.
-    odd_rows = np.nonzero(idx[:, 0] != np.arange(n))[0]
-    for i in odd_rows:
-        self_pos = np.nonzero(idx[i] == i)[0]
-        drop = int(self_pos[0]) if self_pos.size else k
-        out[i] = np.delete(dist[i], drop)
-    return out
+    dist, _ = cKDTree(pattern.coords).query(pattern.coords, k=k + 1)
+    # Column 0 is the point itself, or a tied zero among coincident points.
+    return np.ascontiguousarray(dist[:, 1:])

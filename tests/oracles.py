@@ -42,6 +42,33 @@ def uniform_reference_stream(window, n_ref, seed):
                        size=(n_ref, 2))
 
 
+def brute_reproduction(window, n, p, sigma, seed):
+    """The bimodal sampler as a numpy array loop: the parent from
+    ``integers(i)``, the mode from ``random()``, each uniform point from
+    ``uniform(lo, hi)`` and each Gaussian candidate from ``standard_normal(2)``,
+    resampled up to 1000 times. Returns (coords, number of uniform fallbacks)."""
+    rng = np.random.default_rng(seed)
+    lo = np.array(window.lo)
+    hi = np.array(window.hi)
+    pts = np.empty((n, 2))
+    pts[0] = rng.uniform(lo, hi)
+    fallbacks = 0
+    for i in range(1, n):
+        parent = pts[rng.integers(i)]
+        if rng.random() < p:
+            for _ in range(1000):
+                cand = parent + sigma * rng.standard_normal(2)
+                if window.contains(cand[0], cand[1]):
+                    pts[i] = cand
+                    break
+            else:
+                pts[i] = rng.uniform(lo, hi)
+                fallbacks += 1
+        else:
+            pts[i] = rng.uniform(lo, hi)
+    return pts, fallbacks
+
+
 def brute_iou(a, b):
     wx = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
     wy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)

@@ -206,6 +206,17 @@ def test_simulate_csr_and_reproduction(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra", [[], ["--p", "0.5", "--sigma", "1"]])
+def test_simulate_rejects_overflowing_window(extra, tmp_path, capsys):
+    code = main(["simulate", "--n", "10", "--window", " -1e308", "0", "1e308", "1",
+                 *extra, "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: window width and height must be finite, got (-1e+308, 0.0, 1e+308, 1.0)\n"
+    )
+    assert not (tmp_path / "simulated_points.csv").exists()
+
+
 def test_simulate_requires_both_p_and_sigma(tmp_path, capsys):
     code = main(["simulate", "--n", "5", "--window", "0", "0", "1", "1",
                  "--p", "0.5", "--out-dir", str(tmp_path)])

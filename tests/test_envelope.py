@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,7 @@ def test_clustered_pattern_exceeds_band_at_small_distances():
 def test_j_envelope_flags_undefined_entries_as_nan():
     p = simulate_csr(WINDOW, 30, seed=12)
     # push the grid far beyond saturation so F reaches 1
-    grid = DistanceGrid(np.linspace(0.0, WINDOW.diagonal * 1.1, 30))
+    grid = DistanceGrid(np.linspace(0.0, math.hypot(WINDOW.width, WINDOW.height) * 1.1, 30))
     r = envelope(p, grid, "J", m=19, seed=13, n_ref=200, workers=1)
     undefined = np.isnan(r.observed)
     assert undefined.any() and not undefined.all()

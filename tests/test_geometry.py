@@ -75,6 +75,14 @@ def test_window_validation():
         Window(5, 0, 1, 1)
 
 
+@pytest.mark.parametrize("bounds", [(-1e308, 0, 1e308, 1), (0, -1e308, 1, 1e308),
+                                    (-1.7e308, -1.7e308, 1.7e308, 1.7e308)])
+def test_window_rejects_overflowing_size(bounds):
+    with pytest.raises(InvalidInputError, match="width and height must be finite"):
+        Window(*bounds)
+    Window(-8e307, -8e307, 8e307, 8e307)  # a width of 1.6e308 is still finite
+
+
 def test_window_properties():
     w = Window(1, 2, 4, 10)
     assert w.width == 3 and w.height == 8
@@ -153,6 +161,20 @@ def test_knn_handles_coincident_points():
     brute = brute_knn_distances(p.coords, 2)
     np.testing.assert_allclose(out, brute, rtol=1e-12, atol=0)
     assert out[0].tolist() == [0.0, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       n=st.integers(min_value=2, max_value=40),
+       sites=st.integers(min_value=1, max_value=4))
+def test_knn_matches_brute_force_with_coincident_points(seed, n, sites):
+    # every point sits on one of a few sites, so most distances tie at 0 and
+    # the k-d tree often lists another point before the point itself
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, 3, size=(sites, 2)).astype(float)[rng.integers(0, sites, n)]
+    k = int(rng.integers(1, n))
+    p = pattern_on(Window(0, 0, 2, 2), coords)
+    np.testing.assert_array_equal(nearest_neighbor_distances(p, k), brute_knn_distances(coords, k))
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,7 +21,12 @@ from palmpat import (
     simulate_reproduction,
     trapezoid_integrate,
 )
-from oracles import all_pairs_distances, piecewise_linear_integral, rejects_csr_at_5pct
+from oracles import (
+    all_pairs_distances,
+    brute_reproduction,
+    piecewise_linear_integral,
+    rejects_csr_at_5pct,
+)
 
 
 # ---------------------------------------------------------------- trapezoid rule
@@ -104,6 +109,34 @@ def test_pure_clustering_with_tiny_sigma_collapses():
     pattern = simulate_reproduction(window, 100, ReproductionParams(1.0, 1e-9), seed=8)
     d = all_pairs_distances(pattern.coords)
     assert d.max() < 1e-6
+
+
+# (p, sigma) sets on a 100 x 60 window: CSR, sigma from 1e-9 to 1e4, a
+# sigma whose resampling sometimes hits the attempt cap, and one far beyond
+# the window where every clustered step falls back to a uniform draw.
+BATTERY_PARAMS = [(0.0, 1.0), (0.5, 1e3), (0.7, 5.0), (0.9, 1e-9), (1.0, 30.0), (1.0, 1e4)]
+BATTERY_ORIGINS = [(0.0, 0.0), (1e6 + 0.1, 1e6), (-3e7, -3e7)]
+
+
+@pytest.mark.parametrize("origin", BATTERY_ORIGINS)
+@pytest.mark.parametrize("p, sigma", BATTERY_PARAMS)
+def test_simulation_is_byte_equal_to_array_loop(p, sigma, origin):
+    x0, y0 = origin
+    window = Window(x0, y0, x0 + 100.0, y0 + 60.0)
+    fallbacks = steps = 0
+    for seed in range(14):
+        n = (1, 2, 30)[seed % 3]
+        steps += n - 1
+        diag = SimulationDiagnostics()
+        pattern = simulate_reproduction(window, n, ReproductionParams(p, sigma), seed, diag)
+        coords, expected_fallbacks = brute_reproduction(window, n, p, sigma, seed)
+        assert pattern.coords.tobytes() == coords.tobytes(), (seed, n)
+        assert diag.gaussian_fallbacks == expected_fallbacks
+        fallbacks += expected_fallbacks
+    if sigma == 1e4:
+        assert fallbacks == steps  # every step after the first falls back
+    elif sigma == 1e3:
+        assert fallbacks > 0
 
 
 def test_gaussian_fallback_is_counted_not_fatal():

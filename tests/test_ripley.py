@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,7 +88,7 @@ def test_g_requires_two_points():
 def test_f_is_one_beyond_window_diagonal():
     w = Window(0, 0, 10, 10)
     p = simulate_csr(w, 20, seed=1)
-    curve = f_function(p, DistanceGrid([w.diagonal * 1.01]), 500, seed=2)
+    curve = f_function(p, DistanceGrid([math.hypot(w.width, w.height) * 1.01]), 500, seed=2)
     assert curve.values.tolist() == [1.0]
 
 
