@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -82,7 +83,10 @@ def parse_range(text: str) -> list[float]:
     span = (stop - start) / step + 1e-9
     if not span < MAX_RANGE_VALUES:  # also an infinite span
         raise InvalidInputError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
-    return [round(start + i * step, 12) for i in range(math.floor(span) + 1)]
+    values = [round(start + i * step, 12) for i in range(math.floor(span) + 1)]
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise InvalidInputError(f"range {text!r} repeats values at 12-decimal rounding")
+    return values
 
 
 def _read_rows(path, expected_header: str):
@@ -134,18 +138,16 @@ def _checked_units(units_per_meter: float) -> float:
     return units_per_meter
 
 
-def parse_points_csv(
-    path,
-    units_per_meter: float = 1.0,
-    window: Window | None = None,
-) -> PointPattern:
+def parse_points_csv(path, units_per_meter: float = 1.0, window=None) -> PointPattern:
     """Load an ``x,y`` file, scale into meters, and attach a window.
 
-    Coordinates (and any explicit window bounds) are divided by
-    ``units_per_meter``. Without an explicit window the points' bounding
-    box is used and a notice is logged.
+    Coordinates and the optional ``window`` bounds (x_min, y_min, x_max,
+    y_max, in input units) are divided by ``units_per_meter``. Without a
+    window the points' bounding box is used and a notice is logged.
     """
     units = _checked_units(units_per_meter)
+    if window is not None:
+        window = Window(*(v / units for v in window))
     coords = _read_rows(path, "x,y") / units
     if window is None:
         x_min, y_min = coords.min(axis=0)
@@ -260,16 +262,8 @@ def _grid(args, window: Window) -> DistanceGrid:
     return DistanceGrid(np.linspace(0.0, grid_max, args.grid_steps))
 
 
-def _load_pattern(args) -> PointPattern:
-    window = None
-    if args.window is not None:
-        units = _checked_units(args.units_per_meter)
-        window = Window(*(v / units for v in args.window))
-    return parse_points_csv(args.points, args.units_per_meter, window)
-
-
 def cmd_ripley(args) -> int:
-    pattern = _load_pattern(args)
+    pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     grid = _grid(args, pattern.window)
     stat = args.stat.upper()
     curve = statistic_curve(pattern, grid, stat, args.n_ref, args.seed)
@@ -284,7 +278,7 @@ def cmd_ripley(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    pattern = _load_pattern(args)
+    pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     grid = _grid(args, pattern.window)
     result = envelope(pattern, grid, args.stat.upper(), args.envelope_m, args.seed, args.n_ref)
     path = _out_path(args, f"envelope_{args.stat}.csv")
@@ -325,7 +319,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     p_candidates = parse_range(args.p)
     sigma_candidates = parse_range(args.sigma)
-    pattern = _load_pattern(args)
+    pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     grid = _grid(args, pattern.window)
     result = fit(
         pattern, p_candidates, sigma_candidates,
@@ -387,7 +381,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_nn_stats(args) -> int:
-    pattern = _load_pattern(args)
+    pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     stats = nn_stats(pattern, args.k, args.bins)
     stats_path = _out_path(args, "nn_stats.csv")
     write_csv(
@@ -504,6 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bins", type=int, default=30, help="histogram bins (default 30)")
     s.set_defaults(func=cmd_nn_stats)
 
+    # Python 3.11's argparse reads "-3e7" as an option, not a number.
+    for p in (parser, *subs.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -516,10 +513,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -47,10 +47,6 @@ class Window:
         return min(self.width, self.height)
 
     @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
     def lo(self) -> tuple[float, float]:
         return (self.x_min, self.y_min)
 

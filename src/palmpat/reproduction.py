@@ -17,8 +17,8 @@ the trapezoid-integrated absolute difference of the G and F curves,
 
 summed over ``n_trials`` independent simulations per candidate pair. The
 grid search scans p in the outer loop and sigma in the inner loop and
-keeps the first strict minimum, so ties resolve to the earliest candidate
-in scan order.
+keeps the first minimum, so ties resolve to the earliest candidate in scan
+order.
 
 Randomness layout: substream (0,) seeds one reference-point stream that
 the observed F curve and every trial's simulated F curve share, so the
@@ -177,8 +177,8 @@ def discrepancy(
 
 
 def _trial_discrepancy(task) -> float:
-    (window, n, p, sigma, grid, n_ref, obs_g, obs_f, sim_seed, f_seed) = task
-    simulated = simulate_reproduction(window, n, ReproductionParams(p, sigma), sim_seed)
+    (window, n, params, grid, n_ref, obs_g, obs_f, sim_seed, f_seed) = task
+    simulated = simulate_reproduction(window, n, params, sim_seed)
     return discrepancy(obs_g, obs_f, simulated, grid, n_ref, f_seed)
 
 
@@ -198,16 +198,15 @@ def fit(
     The observed curves are computed once up front; every candidate cell
     then runs ``n_trials`` simulations of ``len(observed)`` points and
     accumulates their discrepancies. Returns the full table (scan order:
-    p outer, sigma inner, trials in order) plus the first strict minimizer.
+    p outer, sigma inner, trials in order) plus the best cell: the first
+    minimum of ``d_total`` in scan order, so a tie goes to the earlier cell.
+    ``n_ref`` is passed to every F evaluation as given (None: the
+    ``f_function`` default, which depends only on the shared point count).
     """
-    p_candidates = [float(p) for p in p_candidates]
-    sigma_candidates = [float(s) for s in sigma_candidates]
-    if not p_candidates or not sigma_candidates:
+    sigmas = list(sigma_candidates)
+    cells = [ReproductionParams(float(p), float(s)) for p in p_candidates for s in sigmas]
+    if not cells:
         raise InvalidInputError("candidate lists must be nonempty")
-    for p in p_candidates:
-        ReproductionParams(p, 1.0)  # range check
-    for s in sigma_candidates:
-        ReproductionParams(0.0, s)
     if n_trials < 1:
         raise InvalidInputError(f"n_trials must be positive, got {n_trials}")
     n = len(observed)
@@ -215,37 +214,19 @@ def fit(
         raise InvalidInputError(f"fit needs at least 2 observed points, got {n}")
     if grid is None:
         grid = DistanceGrid.default(observed.window)
-    if n_ref is None:
-        n_ref = max(1000, n)
 
-    f_stream_seed = substream_seed(seed, 0)
+    f_seed = substream_seed(seed, 0)
     obs_g = g_function(observed, grid)
-    obs_f = f_function(observed, grid, n_ref, f_stream_seed)
+    obs_f = f_function(observed, grid, n_ref, f_seed)
 
-    tasks = []
-    for ip in range(len(p_candidates)):
-        for is_ in range(len(sigma_candidates)):
-            for t in range(n_trials):
-                tasks.append((
-                    observed.window, n, p_candidates[ip], sigma_candidates[is_],
-                    grid, n_ref, obs_g, obs_f,
-                    substream_seed(seed, 1, ip, is_, t),
-                    f_stream_seed,
-                ))
+    tasks = [
+        (observed.window, n, params, grid, n_ref, obs_g, obs_f,
+         substream_seed(seed, 1, *divmod(k, len(sigmas)), t), f_seed)
+        for k, params in enumerate(cells)
+        for t in range(n_trials)
+    ]
     d_values = map_tasks(_trial_discrepancy, tasks, workers)
-
-    table = []
-    best: ReproductionParams | None = None
-    d_min = np.inf
-    cursor = 0
-    for p in p_candidates:
-        for sigma in sigma_candidates:
-            d_trials = tuple(d_values[cursor:cursor + n_trials])
-            cursor += n_trials
-            d_total = float(sum(d_trials))
-            table.append(FitCell(p, sigma, d_total, d_trials))
-            if d_total < d_min:
-                d_min = d_total
-                best = ReproductionParams(p, sigma)
-    assert best is not None
-    return FitResult(best=best, d_min=float(d_min), table=tuple(table))
+    runs = [tuple(d_values[i:i + n_trials]) for i in range(0, len(d_values), n_trials)]
+    table = tuple(FitCell(c.p, c.sigma, float(sum(d)), d) for c, d in zip(cells, runs))
+    best = min(table, key=lambda c: c.d_total)
+    return FitResult(ReproductionParams(best.p, best.sigma), best.d_total, table)

@@ -78,10 +78,6 @@ class RipleyCurve:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def defined(self) -> np.ndarray:
-        return ~np.isnan(self.values)
-
 
 @dataclass(frozen=True)
 class NeighborStats:

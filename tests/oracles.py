@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (full distance matrices, quadratic
 loops, per-segment antiderivatives) and shares no code with the package
-implementations it checks.
+implementations it checks. The one exception is ``brute_fit``, which checks
+only the grid search's bookkeeping and so builds on the library's own
+simulator, curves and discrepancy.
 """
 import math
 
@@ -67,6 +69,49 @@ def brute_reproduction(window, n, p, sigma, seed):
         else:
             pts[i] = rng.uniform(lo, hi)
     return pts, fallbacks
+
+
+def brute_fit(observed, p_candidates, sigma_candidates, n_trials, grid=None, n_ref=None,
+              seed=0):
+    """The (p, sigma) grid search as a serial nested loop: every candidate
+    validated up front, a cursor over the flat trial results, and the first
+    strict minimum of the cell totals in scan order (p outer, sigma inner)."""
+    from palmpat import (DistanceGrid, ReproductionParams, discrepancy, f_function,
+                         g_function, simulate_reproduction)
+    from palmpat.reproduction import FitCell, FitResult
+    from palmpat.seeding import substream_seed
+
+    ps = [float(p) for p in p_candidates]
+    sigmas = [float(s) for s in sigma_candidates]
+    for p in ps:
+        ReproductionParams(p, 1.0)
+    for s in sigmas:
+        ReproductionParams(0.0, s)
+    n = len(observed)
+    if grid is None:
+        grid = DistanceGrid.default(observed.window)
+    if n_ref is None:
+        n_ref = max(1000, n)
+    f_seed = substream_seed(seed, 0)
+    obs_g = g_function(observed, grid)
+    obs_f = f_function(observed, grid, n_ref, f_seed)
+    d_values = []
+    for ip, p in enumerate(ps):
+        for is_, s in enumerate(sigmas):
+            for t in range(n_trials):
+                simulated = simulate_reproduction(observed.window, n, ReproductionParams(p, s),
+                                                  substream_seed(seed, 1, ip, is_, t))
+                d_values.append(discrepancy(obs_g, obs_f, simulated, grid, n_ref, f_seed))
+    table, best, d_min, cursor = [], None, math.inf, 0
+    for p in ps:
+        for s in sigmas:
+            d_trials = tuple(d_values[cursor:cursor + n_trials])
+            cursor += n_trials
+            d_total = float(sum(d_trials))
+            table.append(FitCell(p, s, d_total, d_trials))
+            if d_total < d_min:
+                d_min, best = d_total, ReproductionParams(p, s)
+    return FitResult(best=best, d_min=float(d_min), table=tuple(table))
 
 
 def brute_iou(a, b):

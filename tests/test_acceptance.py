@@ -135,6 +135,7 @@ def test_criterion_2_trapezoid_correctness(report):
         assert abs(trapezoid_integrate(xs, xs ** 2) - 1.0 / 3.0) < 1e-6
 
 
+@pytest.mark.slow
 def test_criterion_3_csr_calibration(report):
     """Type-I error <= 10/100 on CSR patterns and power >= 95/100 on strongly
     clustered patterns, under the documented fixed-scale 5% rejection rule,
@@ -161,6 +162,7 @@ def test_criterion_3_csr_calibration(report):
         assert time.perf_counter() - start < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_4_parameter_recovery(report):
     """Truth (p=0.5, sigma=60), n=1500 in [0,3000]^2, candidates p 0.30..0.70
     step 0.05 and sigma 40..80 step 10, N=10: the fitted pair lands within

@@ -6,6 +6,7 @@ import pytest
 from palmpat import (
     DistanceGrid,
     InvalidInputError,
+    Window,
     fit,
     match_counts,
 )
@@ -36,9 +37,19 @@ def test_parse_range_inclusive_endpoints():
 
 def test_parse_range_rejects_bad_specs():
     for bad in ("1:2", "a:b:c", "1:0:1", "0:1:0", "0:inf:0.1", "nan:1:0.1", "0:1:nan",
-                "-inf:0:1", "0:1:inf", "nan", "0:1e308:1e-300", "0:1:1e-300"):
+                "-inf:0:1", "0:1:inf", "nan", "0:1e308:1e-300", "0:1:1e-300",
+                "0:1e-12:1e-13", "1e-14:5e-14:1e-14"):
         with pytest.raises(InvalidInputError):
             parse_range(bad)
+
+
+def test_fit_rejects_range_that_rounds_to_repeats(points_csv, tmp_path, capsys):
+    code = main(["fit", "--points", points_csv, "--p", "0.5", "--sigma", "1e-14:5e-14:1e-14",
+                 "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: range '1e-14:5e-14:1e-14' repeats values at 12-decimal rounding\n"
+    )
 
 
 def test_parse_range_caps_the_value_count():
@@ -65,6 +76,8 @@ def test_parse_points_scales_units(tmp_path):
     path = write(tmp_path / "p.csv", "x,y\n0,0\n20,40\n")
     pattern = parse_points_csv(path, units_per_meter=20.0)
     assert pattern.coords.tolist() == [[0.0, 0.0], [1.0, 2.0]]
+    pattern = parse_points_csv(path, 20.0, (-20.0, 0.0, 40.0, 60.0))
+    assert pattern.window == Window(-1.0, 0.0, 2.0, 3.0)
 
 
 def test_parse_points_header_only_is_error(tmp_path):
@@ -215,6 +228,34 @@ def test_simulate_rejects_overflowing_window(extra, tmp_path, capsys):
         "error: window width and height must be finite, got (-1e+308, 0.0, 1e+308, 1.0)\n"
     )
     assert not (tmp_path / "simulated_points.csv").exists()
+
+
+# Values in exponent form that start with '-' are numbers, not options: each
+# command gives the same bytes as with the ' -3e7' spelling argparse accepts.
+NEGATIVE_EXPONENT_CASES = {
+    "simulate_window": (["simulate", "--n", "3", "--window", "{v}", "0", "1", "1"],
+                        "simulated_points.csv"),
+    "ripley_window": (["ripley", "--points", "{points}", "--stat", "g",
+                       "--window", "{v}", "{v}", "60", "60"], "ripley_g.csv"),
+    "merge_origin": (["merge", "--detections", "{det}", "--origin", "0", "{v}"],
+                     "merged_boxes.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(NEGATIVE_EXPONENT_CASES))
+def test_negative_exponent_values_parse(case, points_csv, tmp_path, capsys):
+    argv, name = NEGATIVE_EXPONENT_CASES[case]
+    det = write(tmp_path / "det.csv",
+                "tile_row,tile_col,x_min,y_min,x_max,y_max,confidence\n0,0,10,10,30,30,0.9\n")
+    outputs = []
+    for value, out in (("-3e7", tmp_path / "a"), (" -3e7", tmp_path / "b")):
+        args = [a.format(v=value, points=points_csv, det=det) for a in argv]
+        assert main([*args, "--out-dir", str(out)]) == 0
+        outputs.append((out / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    if case == "merge_origin":
+        assert outputs[0].decode().splitlines()[1] == "10.0,-29999990.0,30.0,-29999970.0,0.9"
+    capsys.readouterr()
 
 
 def test_simulate_requires_both_p_and_sigma(tmp_path, capsys):

@@ -23,6 +23,7 @@ from palmpat import (
 )
 from oracles import (
     all_pairs_distances,
+    brute_fit,
     brute_reproduction,
     piecewise_linear_integral,
     rejects_csr_at_5pct,
@@ -302,6 +303,48 @@ def test_fit_on_csr_input_prefers_smallest_clustering_probability():
         workers=1,
     )
     assert result.best.p == 0.1
+
+
+@pytest.mark.parametrize("ps, sigmas, n_trials, n_ref, workers", [
+    ([0.4], [6.0], 1, None, 1),
+    ([0.4], [6.0], 3, 150, 2),
+    ([0.2], [3.0, 6.0, 12.0], 3, 150, 1),
+    ([0.2], [3.0, 6.0, 12.0], 1, None, 2),
+    ([0.0, 0.5, 1.0], [5.0], 1, 200, 1),
+    ([0.0, 0.5, 1.0], [5.0], 3, None, 2),
+    ([0.2, 0.5, 0.8], [4.0, 8.0], 3, None, 1),
+    ([0.2, 0.5, 0.8], [4.0, 8.0], 1, 200, 2),
+])
+def test_fit_equals_nested_loop_oracle(ps, sigmas, n_trials, n_ref, workers):
+    window = Window(0.0, 0.0, 100.0, 100.0)
+    observed = simulate_reproduction(window, 60, ReproductionParams(0.6, 5.0), seed=3)
+    grid = DistanceGrid.default(window, 20)
+    expected = brute_fit(observed, ps, sigmas, n_trials, grid, n_ref, seed=11)
+    assert fit(observed, ps, sigmas, n_trials, grid, n_ref, seed=11, workers=workers) == expected
+    # candidates may be any iterable, generators included
+    assert fit(observed, (p for p in ps), iter(sigmas), n_trials, grid, n_ref, seed=11,
+               workers=workers) == expected
+
+
+def test_fit_tie_goes_to_first_cell_like_the_oracle():
+    # on a grid that ends at 1e-9 every G and F value is 0, so every cell ties at 0
+    window = Window(0.0, 0.0, 100.0, 100.0)
+    observed = simulate_csr(window, 30, seed=2)
+    grid = DistanceGrid([0.0, 1e-9])
+    args = (observed, [0.3, 0.6], [5.0, 9.0], 2, grid, 100)
+    result = fit(*args, seed=4, workers=1)
+    assert {c.d_total for c in result.table} == {0.0}
+    assert result.best == ReproductionParams(0.3, 5.0)
+    assert result == brute_fit(*args, seed=4)
+
+
+def test_fit_names_the_first_invalid_cell():
+    window = Window(0.0, 0.0, 100.0, 100.0)
+    observed = simulate_csr(window, 20, seed=1)
+    with pytest.raises(InvalidInputError, match="sigma must be positive, got -1.0"):
+        fit(observed, [0.5, 2.0], [-1.0], n_trials=1, seed=0)
+    with pytest.raises(InvalidInputError, match=r"p must be in \[0, 1\], got 2.0"):
+        fit(observed, [0.5, 2.0], [1.0], n_trials=1, seed=0)
 
 
 def test_fit_rejects_empty_candidates():

@@ -168,7 +168,7 @@ def test_j_undefined_where_f_is_one():
     j = j_function(g, f)
     assert j.values[0] == 1.0
     assert np.isnan(j.values[1])
-    assert j.defined.tolist() == [True, False]
+    assert (~np.isnan(j.values)).tolist() == [True, False]
 
 
 def test_j_rejects_mismatched_grids():
