@@ -2,8 +2,8 @@
 
 Tasks carry their own derived seeds, so mapping them over any number of
 workers gives bit-identical results; the reduction happens in submission
-order. ``PALMPAT_THREADS`` caps the worker count (0 or unset = one worker
-per CPU).
+order. ``PALMPAT_THREADS`` is the one setting for the worker count (0 or
+unset = one worker per CPU); the library takes no worker argument.
 """
 from __future__ import annotations
 
@@ -20,26 +20,21 @@ _R = TypeVar("_R")
 ENV_WORKERS = "PALMPAT_THREADS"
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(ENV_WORKERS, "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise InvalidInputError(f"{ENV_WORKERS} must be an integer, got {raw!r}")
-        else:
-            workers = 0
+def resolve_workers() -> int:
+    """The worker count ``PALMPAT_THREADS`` asks for."""
+    raw = os.environ.get(ENV_WORKERS, "").strip() or "0"
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise InvalidInputError(f"{ENV_WORKERS} must be an integer, got {raw!r}")
     if workers < 0:
-        raise InvalidInputError(f"worker count must be >= 0, got {workers}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return workers
+        raise InvalidInputError(f"{ENV_WORKERS} must be >= 0, got {workers}")
+    return workers or os.cpu_count() or 1
 
 
-def map_tasks(fn: Callable[[_T], _R], tasks: Sequence[_T], workers: int | None = None) -> list[_R]:
+def map_tasks(fn: Callable[[_T], _R], tasks: Sequence[_T]) -> list[_R]:
     """Apply ``fn`` to every task, preserving task order in the result."""
-    workers = resolve_workers(workers)
+    workers = resolve_workers()
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     # fork keeps worker startup cheap; results do not depend on the method

@@ -234,10 +234,12 @@ def write_curve_svg(path, x, series, band=None, width=640, height=400) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
-def _out_path(args, name: str) -> Path:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
+def _emit(args, name: str, write, *data) -> None:
+    """Write one output file into --out-dir and report its path."""
+    path = Path(args.out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write(path, *data)
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------- commands
@@ -267,13 +269,9 @@ def cmd_ripley(args) -> int:
     grid = _grid(args, pattern.window)
     stat = args.stat.upper()
     curve = statistic_curve(pattern, grid, stat, args.n_ref, args.seed)
-    path = _out_path(args, f"ripley_{args.stat}.csv")
-    write_csv(path, ["d", "value"], zip(grid.values, curve))
     if args.svg:
-        svg = _out_path(args, f"ripley_{args.stat}.svg")
-        write_curve_svg(svg, grid.values, [(stat, curve)])
-        print(f"wrote {svg}")
-    print(f"wrote {path}")
+        _emit(args, f"ripley_{args.stat}.svg", write_curve_svg, grid.values, [(stat, curve)])
+    _emit(args, f"ripley_{args.stat}.csv", write_csv, ["d", "value"], zip(grid.values, curve))
     return EXIT_OK
 
 
@@ -281,22 +279,18 @@ def cmd_envelope(args) -> int:
     pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     grid = _grid(args, pattern.window)
     result = envelope(pattern, grid, args.stat.upper(), args.envelope_m, args.seed, args.n_ref)
-    path = _out_path(args, f"envelope_{args.stat}.csv")
-    write_csv(
-        path,
+    if args.svg:
+        _emit(
+            args, f"envelope_{args.stat}.svg", write_curve_svg, grid.values,
+            [("observed", result.observed), ("sim mean", result.sim_mean)],
+            (result.lo95, result.hi95),
+        )
+    _emit(
+        args, f"envelope_{args.stat}.csv", write_csv,
         ["d", "observed", "mean", "lo95", "hi95", "p"],
         zip(grid.values, result.observed, result.sim_mean, result.lo95,
             result.hi95, result.p_values),
     )
-    if args.svg:
-        svg = _out_path(args, f"envelope_{args.stat}.svg")
-        write_curve_svg(
-            svg, grid.values,
-            [("observed", result.observed), ("sim mean", result.sim_mean)],
-            band=(result.lo95, result.hi95),
-        )
-        print(f"wrote {svg}")
-    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -310,9 +304,7 @@ def cmd_simulate(args) -> int:
         pattern = simulate_reproduction(
             window, args.n, ReproductionParams(args.p, args.sigma), args.seed
         )
-    path = _out_path(args, "simulated_points.csv")
-    write_csv(path, ["x", "y"], pattern.coords)
-    print(f"wrote {path}")
+    _emit(args, "simulated_points.csv", write_csv, ["x", "y"], pattern.coords)
     return EXIT_OK
 
 
@@ -327,9 +319,7 @@ def cmd_fit(args) -> int:
     )
     header = ["p", "sigma", "d_total"] + [f"d_{i}" for i in range(1, args.n_trials + 1)]
     rows = [[c.p, c.sigma, c.d_total, *c.d_trials] for c in result.table]
-    path = _out_path(args, "fit_table.csv")
-    write_csv(path, header, rows)
-    print(f"wrote {path}")
+    _emit(args, "fit_table.csv", write_csv, header, rows)
     print(f"p*={_fmt(result.best.p)} sigma*={_fmt(result.best.sigma)} d_min={_fmt(result.d_min)}")
     return EXIT_OK
 
@@ -342,12 +332,9 @@ def cmd_merge(args) -> int:
         boxes = to_global(layout, _read_rows(
             args.detections, "tile_row,tile_col,x_min,y_min,x_max,y_max,confidence"))
     merged = boxes[merge_nms(boxes, args.iou_threshold)]
-    boxes_path = _out_path(args, "merged_boxes.csv")
-    write_csv(boxes_path, ["x_min", "y_min", "x_max", "y_max", "confidence"], merged.tolist())
-    centers_path = _out_path(args, "merged_centers.csv")
-    write_csv(centers_path, ["x", "y"], centers(merged))
-    print(f"wrote {boxes_path}")
-    print(f"wrote {centers_path}")
+    _emit(args, "merged_boxes.csv", write_csv,
+          ["x_min", "y_min", "x_max", "y_max", "confidence"], merged.tolist())
+    _emit(args, "merged_centers.csv", write_csv, ["x", "y"], centers(merged))
     print(f"kept {len(merged)} of {len(boxes)} boxes")
     return EXIT_OK
 
@@ -357,9 +344,8 @@ def cmd_count(args) -> int:
     detected = _read_rows(args.detected, "x,y") / units
     labeled = _read_rows(args.labeled, "x,y") / units
     report = match_counts(detected, labeled, args.match_radius)
-    path = _out_path(args, "count_report.csv")
-    write_csv(
-        path,
+    _emit(
+        args, "count_report.csv", write_csv,
         ["metric", "value"],
         [
             ["n_labeled", report.n_labeled],
@@ -372,7 +358,6 @@ def cmd_count(args) -> int:
             ["shift_std", report.shift_std],
         ],
     )
-    print(f"wrote {path}")
     print(
         f"accuracy={_fmt(report.accuracy)} matched={len(report.matched)}/{report.n_labeled} "
         f"shift_mean={_fmt(report.shift_mean)}"
@@ -383,22 +368,18 @@ def cmd_count(args) -> int:
 def cmd_nn_stats(args) -> int:
     pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     stats = nn_stats(pattern, args.k, args.bins)
-    stats_path = _out_path(args, "nn_stats.csv")
-    write_csv(
-        stats_path,
+    _emit(
+        args, "nn_stats.csv", write_csv,
         ["metric", "value"],
         [["k", args.k], ["n", len(pattern)], ["mean", stats.mean],
          ["median", stats.median], ["std", stats.std]],
     )
-    hist_path = _out_path(args, "nn_histogram.csv")
-    write_csv(
-        hist_path,
+    _emit(
+        args, "nn_histogram.csv", write_csv,
         ["bin_lo", "bin_hi", "count"],
         ([stats.bin_edges[i], stats.bin_edges[i + 1], int(stats.counts[i])]
          for i in range(len(stats.counts))),
     )
-    print(f"wrote {stats_path}")
-    print(f"wrote {hist_path}")
     print(f"mean={_fmt(stats.mean)} median={_fmt(stats.median)} std={_fmt(stats.std)}")
     return EXIT_OK
 
@@ -498,9 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bins", type=int, default=30, help="histogram bins (default 30)")
     s.set_defaults(func=cmd_nn_stats)
 
-    # Python 3.11's argparse reads "-3e7" as an option, not a number.
+    # Python 3.11's argparse reads "-3e7" and "-inf" as options, not numbers.
+    number = re.compile(r"^-(\.?\d|(inf(inity)?|nan)$)", re.IGNORECASE)
     for p in (parser, *subs.choices.values()):
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p._negative_number_matcher = number
     return parser
 
 
@@ -513,8 +495,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InvalidInputError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
 
 

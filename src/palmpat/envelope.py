@@ -33,14 +33,11 @@ DEFAULT_SIMULATIONS = 199
 
 @dataclass(frozen=True)
 class EnvelopeResult:
-    grid: DistanceGrid
-    statistic: str
     observed: np.ndarray
     sim_mean: np.ndarray
     lo95: np.ndarray
     hi95: np.ndarray
     p_values: np.ndarray
-    m: int
 
 
 def simulate_csr(window: Window, n: int, seed: int = DEFAULT_SEED) -> PointPattern:
@@ -92,7 +89,6 @@ def envelope(
     m: int = DEFAULT_SIMULATIONS,
     seed: int = DEFAULT_SEED,
     n_ref: int | None = None,
-    workers: int | None = None,
 ) -> EnvelopeResult:
     """Compare a pattern's statistic against m conditional CSR simulations."""
     statistic = str(statistic).upper()
@@ -110,7 +106,7 @@ def envelope(
          substream_seed(seed, i, 0), substream_seed(seed, i, 1))
         for i in range(1, m + 1)
     ]
-    sims = np.stack(map_tasks(_sim_curve, tasks, workers))
+    sims = np.stack(map_tasks(_sim_curve, tasks))
 
     sim_mean, lo95, hi95 = _nan_reduce(sims)
     t_obs = np.abs(observed - sim_mean)
@@ -121,13 +117,4 @@ def envelope(
     p_values = (1.0 + exceed) / (m + 1.0)
     p_values[np.isnan(t_obs)] = np.nan
 
-    return EnvelopeResult(
-        grid=grid,
-        statistic=statistic,
-        observed=observed,
-        sim_mean=sim_mean,
-        lo95=lo95,
-        hi95=hi95,
-        p_values=p_values,
-        m=m,
-    )
+    return EnvelopeResult(observed, sim_mean, lo95, hi95, p_values)

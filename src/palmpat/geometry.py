@@ -43,10 +43,6 @@ class Window:
         return self.y_max - self.y_min
 
     @property
-    def shorter_side(self) -> float:
-        return min(self.width, self.height)
-
-    @property
     def lo(self) -> tuple[float, float]:
         return (self.x_min, self.y_min)
 

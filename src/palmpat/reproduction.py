@@ -190,7 +190,6 @@ def fit(
     grid: DistanceGrid | None = None,
     n_ref: int | None = None,
     seed: int = DEFAULT_SEED,
-    workers: int | None = None,
 ) -> FitResult:
     """Exhaustive grid search for the (p, sigma) pair that best reproduces
     the observed pattern's G and F curves.
@@ -225,7 +224,7 @@ def fit(
         for k, params in enumerate(cells)
         for t in range(n_trials)
     ]
-    d_values = map_tasks(_trial_discrepancy, tasks, workers)
+    d_values = map_tasks(_trial_discrepancy, tasks)
     runs = [tuple(d_values[i:i + n_trials]) for i in range(0, len(d_values), n_trials)]
     table = tuple(FitCell(c.p, c.sigma, float(sum(d)), d) for c, d in zip(cells, runs))
     best = min(table, key=lambda c: c.d_total)

@@ -56,7 +56,7 @@ class DistanceGrid:
         """Evenly spaced grid from 0 to half the shorter window side."""
         if steps < 2:
             raise InvalidInputError(f"grid needs at least 2 steps, got {steps}")
-        return cls(np.linspace(0.0, window.shorter_side / 2.0, steps))
+        return cls(np.linspace(0.0, min(window.width, window.height) / 2.0, steps))
 
     def same_as(self, other: "DistanceGrid") -> bool:
         return np.array_equal(self.values, other.values)

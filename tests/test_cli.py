@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import palmpat.cli
 from palmpat import (
     DistanceGrid,
     InvalidInputError,
@@ -163,6 +164,39 @@ def test_malformed_csv_is_data_error(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 149. GiB for an array with shape (10000000000, 2)"),
+     "Unable to allocate 149. GiB for an array with shape (10000000000, 2)"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_is_one_line_data_error(exc, message, points_csv, tmp_path, capsys,
+                                              monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(palmpat.cli, "statistic_curve", exhausted)
+    code = main(["ripley", "--points", points_csv, "--stat", "f",
+                 "--window", "0", "0", "50", "50", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("threads, message", [
+    ("abc", "PALMPAT_THREADS must be an integer, got 'abc'"),
+    ("-1", "PALMPAT_THREADS must be >= 0, got -1"),
+])
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--stat", "g", "--m", "19"],
+    ["fit", "--p", "0.5", "--sigma", "2", "--trials", "2"],
+])
+def test_bad_thread_count_is_data_error(argv, threads, message, points_csv, tmp_path, capsys,
+                                        monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", threads)
+    code = main([*argv, "--points", points_csv, "--window", "0", "0", "50", "50",
+                 "--grid-steps", "10", "--n-ref", "100", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -256,6 +290,33 @@ def test_negative_exponent_values_parse(case, points_csv, tmp_path, capsys):
     if case == "merge_origin":
         assert outputs[0].decode().splitlines()[1] == "10.0,-29999990.0,30.0,-29999970.0,0.9"
     capsys.readouterr()
+
+
+# Negative infinities and NaN are numbers too, so they reach the library's
+# finiteness checks; a word that only starts like one ("-info") is an option.
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--n", "3", "--window", "-inf", "0", "1", "1"],
+     "window bounds must be finite, got (-inf, 0.0, 1.0, 1.0)"),
+    (["simulate", "--n", "3", "--window", "-Infinity", "0", "1", "1"],
+     "window bounds must be finite, got (-inf, 0.0, 1.0, 1.0)"),
+    (["simulate", "--n", "3", "--window", "-nan", "0", "1", "1"],
+     "window bounds must be finite, got (nan, 0.0, 1.0, 1.0)"),
+    (["merge", "--detections", "{det}", "--origin", "0", "-inf"],
+     "origin must be finite, got (0.0, -inf)"),
+])
+def test_negative_non_finite_values_are_data_errors(argv, message, tmp_path, capsys):
+    det = write(tmp_path / "det.csv",
+                "tile_row,tile_col,x_min,y_min,x_max,y_max,confidence\n0,0,10,10,30,30,0.9\n")
+    code = main([a.format(det=det) for a in argv] + ["--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
+def test_option_like_word_is_not_a_number(tmp_path, capsys):
+    code = main(["simulate", "--n", "3", "--window", "-info", "0", "1", "1",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "expected 4 arguments" in capsys.readouterr().err
 
 
 def test_simulate_requires_both_p_and_sigma(tmp_path, capsys):
@@ -673,3 +734,26 @@ def test_default_seed_is_stable_constant(points_csv, tmp_path, capsys):
                      "--grid-steps", "10", "--n-ref", "100", "--out-dir", str(out)]) == 0
     assert (out_a / "ripley_f.csv").read_bytes() == (out_b / "ripley_f.csv").read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["ripley", "--stat", "g"],
+    ["ripley", "--stat", "f"],
+    ["ripley", "--stat", "j"],
+    ["envelope", "--stat", "g", "--m", "19"],
+    ["envelope", "--stat", "f", "--m", "19"],
+    ["envelope", "--stat", "j", "--m", "19"],
+    ["nn-stats", "--k", "5", "--bins", "4"],
+    ["fit", "--p", "0.2:0.8:0.6", "--sigma", "1:2:1", "--trials", "2"],
+])
+def test_coincident_points_run_cleanly(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
+    points = write(tmp_path / "pts.csv", "x,y\n" + "25,25\n" * 20)
+    grid = [] if argv[0] == "nn-stats" else ["--grid-steps", "10", "--n-ref", "200"]
+    code = main([*argv, "--points", points, "--window", "0", "0", "50", "50", *grid,
+                 "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    if argv[0] == "nn-stats":
+        assert "mean=0.0 median=0.0 std=0.0" in captured.out

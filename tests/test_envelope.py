@@ -57,12 +57,13 @@ def test_csr_rejects_nonpositive_count():
 # ---------------------------------------------------------------- envelope mechanics
 
 
-def test_envelope_deterministic_and_worker_invariant():
+def test_envelope_deterministic_and_worker_invariant(monkeypatch):
     p = simulate_csr(WINDOW, 40, seed=2)
     grid = DistanceGrid.default(WINDOW, 25)
-    results = [
-        envelope(p, grid, "G", m=19, seed=5, workers=w) for w in (1, 1, 2)
-    ]
+    results = []
+    for w in (1, 1, 2):
+        monkeypatch.setenv("PALMPAT_THREADS", str(w))
+        results.append(envelope(p, grid, "G", m=19, seed=5))
     for other in results[1:]:
         np.testing.assert_array_equal(results[0].observed, other.observed)
         np.testing.assert_array_equal(results[0].sim_mean, other.sim_mean)
@@ -71,17 +72,19 @@ def test_envelope_deterministic_and_worker_invariant():
         np.testing.assert_array_equal(results[0].p_values, other.p_values)
 
 
-def test_envelope_band_brackets_mean():
+def test_envelope_band_brackets_mean(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
     p = simulate_csr(WINDOW, 60, seed=3)
     grid = DistanceGrid.default(WINDOW, 30)
-    r = envelope(p, grid, "G", m=39, seed=6, workers=1)
+    r = envelope(p, grid, "G", m=39, seed=6)
     assert np.all(r.lo95 <= r.sim_mean) and np.all(r.sim_mean <= r.hi95)
 
 
-def test_envelope_p_value_floor():
+def test_envelope_p_value_floor(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
     p = simulate_csr(WINDOW, 60, seed=3)
     grid = DistanceGrid.default(WINDOW, 30)
-    r = envelope(p, grid, "G", m=39, seed=6, workers=1)
+    r = envelope(p, grid, "G", m=39, seed=6)
     assert np.all(r.p_values >= 1.0 / 40.0)
     assert np.all(r.p_values <= 1.0)
 
@@ -98,11 +101,12 @@ def test_envelope_rejects_unknown_statistic():
         envelope(p, DistanceGrid.default(WINDOW, 10), "K", m=19, seed=0)
 
 
-def test_most_extreme_observation_attains_rank_p_one_twentieth():
+def test_most_extreme_observation_attains_rank_p_one_twentieth(monkeypatch):
     # A pattern far more clustered than any of 19 CSR simulations ranks
     # first, so the rank formula gives exactly (1 + 0) / 20 at small d.
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
     grid = DistanceGrid(np.linspace(0.0, 20.0, 21))
-    r = envelope(clustered_pattern(), grid, "G", m=19, seed=7, workers=1)
+    r = envelope(clustered_pattern(), grid, "G", m=19, seed=7)
     assert r.p_values.min() == 1.0 / 20.0
 
 
@@ -121,11 +125,12 @@ def test_clustered_pattern_exceeds_band_at_small_distances():
     assert np.all(r.p_values[small] < 0.01)
 
 
-def test_j_envelope_flags_undefined_entries_as_nan():
+def test_j_envelope_flags_undefined_entries_as_nan(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
     p = simulate_csr(WINDOW, 30, seed=12)
     # push the grid far beyond saturation so F reaches 1
     grid = DistanceGrid(np.linspace(0.0, math.hypot(WINDOW.width, WINDOW.height) * 1.1, 30))
-    r = envelope(p, grid, "J", m=19, seed=13, n_ref=200, workers=1)
+    r = envelope(p, grid, "J", m=19, seed=13, n_ref=200)
     undefined = np.isnan(r.observed)
     assert undefined.any() and not undefined.all()
     assert np.all(np.isnan(r.p_values[undefined]))
@@ -146,3 +151,14 @@ def test_csr_j_curves_stay_inside_band_on_average():
         inside = (r.observed[ok] >= r.lo95[ok]) & (r.observed[ok] <= r.hi95[ok])
         fractions.append(inside.mean())
     assert np.mean(fractions) >= 0.90
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("statistic", ["G", "F", "J"])
+def test_envelope_of_coincident_points(statistic, monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
+    pattern = PointPattern(WINDOW, np.full((20, 2), 40.0))
+    r = envelope(pattern, DistanceGrid.default(WINDOW, 20), statistic, m=19, seed=3,
+                 n_ref=300)
+    p = r.p_values[~np.isnan(r.p_values)]
+    assert p.size and np.all((p >= 1.0 / 20.0) & (p <= 1.0))

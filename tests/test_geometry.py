@@ -86,7 +86,6 @@ def test_window_rejects_overflowing_size(bounds):
 def test_window_properties():
     w = Window(1, 2, 4, 10)
     assert w.width == 3 and w.height == 8
-    assert w.shorter_side == 3
     assert w.width * w.height == 24
     assert w.contains(1, 2) and w.contains(4, 10)  # boundary counts as inside
     assert not w.contains(0.999, 5)

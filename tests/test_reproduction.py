@@ -237,7 +237,7 @@ def test_discrepancy_rejects_foreign_grid():
 # ---------------------------------------------------------------- grid search
 
 
-def small_fit(workers=1, seed=6):
+def small_fit(seed=6):
     window = Window(0.0, 0.0, 200.0, 200.0)
     observed = simulate_reproduction(window, 80, ReproductionParams(0.5, 8.0), seed=1)
     return fit(
@@ -248,21 +248,22 @@ def small_fit(workers=1, seed=6):
         grid=DistanceGrid.default(window, 30),
         n_ref=300,
         seed=seed,
-        workers=workers,
     )
 
 
-def test_fit_single_candidate_is_returned():
+def test_fit_single_candidate_is_returned(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
     window = Window(0.0, 0.0, 100.0, 100.0)
     observed = simulate_csr(window, 40, seed=5)
     result = fit(observed, [0.4], [6.0], n_trials=2, grid=DistanceGrid.default(window, 20),
-                 n_ref=200, seed=9, workers=1)
+                 n_ref=200, seed=9)
     assert result.best == ReproductionParams(0.4, 6.0)
     assert len(result.table) == 1
     assert result.d_min == result.table[0].d_total
 
 
-def test_fit_table_shape_and_sums():
+def test_fit_table_shape_and_sums(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
     result = small_fit()
     assert len(result.table) == 6
     expected_order = list(itertools.product([0.2, 0.5, 0.8], [4.0, 8.0]))
@@ -274,7 +275,8 @@ def test_fit_table_shape_and_sums():
     assert result.d_min == min(c.d_total for c in result.table)
 
 
-def test_fit_best_is_first_minimizer_in_scan_order():
+def test_fit_best_is_first_minimizer_in_scan_order(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
     result = small_fit()
     for cell in result.table:  # table is already in scan order
         if cell.d_total == result.d_min:
@@ -282,14 +284,17 @@ def test_fit_best_is_first_minimizer_in_scan_order():
             break
 
 
-def test_fit_deterministic_across_runs_and_workers():
-    a = small_fit(workers=1)
-    b = small_fit(workers=1)
-    c = small_fit(workers=2)
+def test_fit_deterministic_across_runs_and_workers(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
+    a = small_fit()
+    b = small_fit()
+    monkeypatch.setenv("PALMPAT_THREADS", "2")
+    c = small_fit()
     assert a == b == c
 
 
-def test_fit_on_csr_input_prefers_smallest_clustering_probability():
+def test_fit_on_csr_input_prefers_smallest_clustering_probability(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
     window = Window(0.0, 0.0, 500.0, 500.0)
     observed = simulate_csr(window, 300, seed=21)
     result = fit(
@@ -300,7 +305,6 @@ def test_fit_on_csr_input_prefers_smallest_clustering_probability():
         grid=DistanceGrid.default(window, 50),
         n_ref=500,
         seed=22,
-        workers=1,
     )
     assert result.best.p == 0.1
 
@@ -315,24 +319,26 @@ def test_fit_on_csr_input_prefers_smallest_clustering_probability():
     ([0.2, 0.5, 0.8], [4.0, 8.0], 3, None, 1),
     ([0.2, 0.5, 0.8], [4.0, 8.0], 1, 200, 2),
 ])
-def test_fit_equals_nested_loop_oracle(ps, sigmas, n_trials, n_ref, workers):
+def test_fit_equals_nested_loop_oracle(ps, sigmas, n_trials, n_ref, workers, monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", str(workers))
     window = Window(0.0, 0.0, 100.0, 100.0)
     observed = simulate_reproduction(window, 60, ReproductionParams(0.6, 5.0), seed=3)
     grid = DistanceGrid.default(window, 20)
     expected = brute_fit(observed, ps, sigmas, n_trials, grid, n_ref, seed=11)
-    assert fit(observed, ps, sigmas, n_trials, grid, n_ref, seed=11, workers=workers) == expected
+    assert fit(observed, ps, sigmas, n_trials, grid, n_ref, seed=11) == expected
     # candidates may be any iterable, generators included
-    assert fit(observed, (p for p in ps), iter(sigmas), n_trials, grid, n_ref, seed=11,
-               workers=workers) == expected
+    assert fit(observed, (p for p in ps), iter(sigmas), n_trials, grid, n_ref,
+               seed=11) == expected
 
 
-def test_fit_tie_goes_to_first_cell_like_the_oracle():
+def test_fit_tie_goes_to_first_cell_like_the_oracle(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
     # on a grid that ends at 1e-9 every G and F value is 0, so every cell ties at 0
     window = Window(0.0, 0.0, 100.0, 100.0)
     observed = simulate_csr(window, 30, seed=2)
     grid = DistanceGrid([0.0, 1e-9])
     args = (observed, [0.3, 0.6], [5.0, 9.0], 2, grid, 100)
-    result = fit(*args, seed=4, workers=1)
+    result = fit(*args, seed=4)
     assert {c.d_total for c in result.table} == {0.0}
     assert result.best == ReproductionParams(0.3, 5.0)
     assert result == brute_fit(*args, seed=4)

@@ -230,3 +230,40 @@ def test_nn_stats_k_out_of_range():
     p = pattern_on(Window(0, 0, 10, 10), [[1, 1], [2, 2], [3, 3]])
     with pytest.raises(InvalidInputError):
         nn_stats(p, k=3)
+
+
+# ---------------------------------------------------------------- coincident points
+# Every point at one location: each nearest-neighbour distance is 0.
+
+COINCIDENT = pattern_on(Window(0, 0, 10, 10), [[3.0, 7.0]] * 20)
+
+
+@pytest.mark.filterwarnings("error")
+def test_coincident_g_and_f_match_brute_force():
+    grid = DistanceGrid(np.linspace(0.0, 12.0, 25))
+    g = g_function(COINCIDENT, grid)
+    np.testing.assert_array_equal(g.values, brute_g_values(COINCIDENT.coords, grid.values))
+    assert g.values.tolist() == [0.0] + [1.0] * 24
+    f = f_function(COINCIDENT, grid, 500, seed=4)
+    refs = uniform_reference_stream(COINCIDENT.window, 500, 4)
+    np.testing.assert_array_equal(f.values, brute_f_values(COINCIDENT.coords, refs, grid.values))
+
+
+@pytest.mark.filterwarnings("error")
+def test_coincident_j_is_one_at_zero_then_zero_or_undefined():
+    grid = DistanceGrid(np.linspace(0.0, 12.0, 25))
+    g = g_function(COINCIDENT, grid)
+    f = f_function(COINCIDENT, grid, 500, seed=4)
+    j = j_function(g, f).values
+    assert j[0] == 1.0
+    undefined = f.values == 1.0
+    assert undefined.any() and np.all(np.isnan(j[undefined]))
+    assert np.all(j[1:][~undefined[1:]] == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1, 5, 19])
+def test_coincident_nn_stats_are_zero(k):
+    stats = nn_stats(COINCIDENT, k=k, bins=4)
+    assert (stats.mean, stats.median, stats.std) == (0.0, 0.0, 0.0)
+    assert stats.counts.sum() == 20
