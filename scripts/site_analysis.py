@@ -21,8 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from palmpat import envelope, fit, nn_stats
 from palmpat.cli import parse_points_csv, parse_range, write_csv
-from palmpat.envelope import statistic_curve
-from palmpat.ripley import DistanceGrid
+from palmpat.ripley import DistanceGrid, statistic_curve
 from palmpat.seeding import substream_seed
 
 

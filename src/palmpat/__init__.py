@@ -31,7 +31,6 @@ from .reproduction import (
 from .ripley import (
     DistanceGrid,
     NeighborStats,
-    RipleyCurve,
     f_function,
     g_function,
     j_function,
@@ -53,7 +52,6 @@ __all__ = [
     "NeighborStats",
     "PointPattern",
     "ReproductionParams",
-    "RipleyCurve",
     "SimulationDiagnostics",
     "TileLayout",
     "Window",

@@ -20,7 +20,8 @@ Every subcommand takes --seed (default 0, never wall-clock). Identical
 invocations produce byte-identical outputs; PALMPAT_THREADS caps the
 worker count used by fit and envelope (0 or unset = auto).
 
-Exit codes: 0 success, 2 usage error, 3 data error.
+Exit codes: 0 success, 2 usage error, 3 data error, out of memory or a
+crashed worker process.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ import logging
 import math
 import re
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +46,11 @@ from .detections import (
     merge_nms,
     to_global,
 )
-from .envelope import DEFAULT_SIMULATIONS, envelope, simulate_csr, statistic_curve
+from .envelope import DEFAULT_SIMULATIONS, envelope, simulate_csr
 from .errors import InvalidInputError
 from .geometry import PointPattern, Window
 from .reproduction import DEFAULT_TRIALS, ReproductionParams, fit, simulate_reproduction
-from .ripley import DEFAULT_GRID_STEPS, DistanceGrid, nn_stats
+from .ripley import DEFAULT_GRID_STEPS, DistanceGrid, nn_stats, statistic_curve
 from .seeding import DEFAULT_SEED
 
 logger = logging.getLogger(__name__)
@@ -57,6 +59,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 MAX_RANGE_VALUES = 10_000
+SVG_WIDTH, SVG_HEIGHT = 640, 400
 
 
 # ---------------------------------------------------------------- parsing
@@ -177,10 +180,11 @@ def write_csv(path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_curve_svg(path, x, series, band=None, width=640, height=400) -> None:
+def write_curve_svg(path, x, series, band=None) -> None:
     """Minimal deterministic line chart: optional band polygon + polylines.
 
     ``series`` is a list of (label, values) pairs; NaN entries break the line.
+    ``x`` is strictly increasing, as every ``DistanceGrid`` is.
     """
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(v, dtype=float) for _, v in series]
@@ -192,15 +196,13 @@ def write_curve_svg(path, x, series, band=None, width=640, height=400) -> None:
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
     x_lo, x_hi = float(x.min()), float(x.max())
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
     pad = 40.0
 
     def sx(v):
-        return pad + (v - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
+        return pad + (v - x_lo) / (x_hi - x_lo) * (SVG_WIDTH - 2 * pad)
 
     def sy(v):
-        return height - pad - (v - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+        return SVG_HEIGHT - pad - (v - y_lo) / (y_hi - y_lo) * (SVG_HEIGHT - 2 * pad)
 
     def pts(xv, yv):
         return " ".join(
@@ -209,9 +211,9 @@ def write_curve_svg(path, x, series, band=None, width=640, height=400) -> None:
 
     colors = ("#c0392b", "#2c3e50", "#2980b9", "#27ae60")
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     if band is not None:
         lo, hi = (np.asarray(b, dtype=float) for b in band)
@@ -226,7 +228,7 @@ def write_curve_svg(path, x, series, band=None, width=640, height=400) -> None:
             f'stroke="{color}" stroke-width="1.5"><title>{label}</title></polyline>'
         )
     parts.append(
-        f'<text x="{pad}" y="{height - 10:.0f}" font-size="11" fill="#333">'
+        f'<text x="{pad}" y="{SVG_HEIGHT - 10:.0f}" font-size="11" fill="#333">'
         f"x: {x_lo:.6g} to {x_hi:.6g}; y: {y_lo:.6g} to {y_hi:.6g}</text>"
     )
     parts.append("</svg>")
@@ -495,7 +497,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidInputError, OSError, MemoryError) as exc:
+    except (InvalidInputError, OSError, MemoryError, BrokenProcessPool) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
 

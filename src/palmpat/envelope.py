@@ -24,10 +24,9 @@ import numpy as np
 from ._pool import map_tasks
 from .errors import InvalidInputError
 from .geometry import PointPattern, Window
-from .ripley import DistanceGrid, f_function, g_function, j_function
+from .ripley import STATISTICS, DistanceGrid, statistic_curve
 from .seeding import DEFAULT_SEED, rng_from_seed, substream_seed
 
-STATISTICS = ("G", "F", "J")
 DEFAULT_SIMULATIONS = 199
 
 
@@ -46,25 +45,6 @@ def simulate_csr(window: Window, n: int, seed: int = DEFAULT_SEED) -> PointPatte
         raise InvalidInputError(f"point count must be positive, got {n}")
     rng = rng_from_seed(seed)
     return PointPattern(window, rng.uniform(window.lo, window.hi, size=(n, 2)))
-
-
-def statistic_curve(
-    pattern: PointPattern,
-    grid: DistanceGrid,
-    statistic: str,
-    n_ref: int | None,
-    f_seed: int,
-) -> np.ndarray:
-    """Evaluate one named statistic; F and J consume the given reference seed."""
-    if statistic == "G":
-        return g_function(pattern, grid).values
-    if statistic == "F":
-        return f_function(pattern, grid, n_ref, f_seed).values
-    if statistic == "J":
-        g = g_function(pattern, grid)
-        f = f_function(pattern, grid, n_ref, f_seed)
-        return j_function(g, f).values
-    raise InvalidInputError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
 
 
 def _sim_curve(task) -> np.ndarray:

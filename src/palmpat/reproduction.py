@@ -38,7 +38,7 @@ import numpy as np
 from ._pool import map_tasks
 from .errors import InvalidInputError
 from .geometry import PointPattern, Window
-from .ripley import DistanceGrid, RipleyCurve, f_function, g_function
+from .ripley import DistanceGrid, f_function, g_function
 from .seeding import DEFAULT_SEED, rng_from_seed, substream_seed
 
 logger = logging.getLogger(__name__)
@@ -158,21 +158,21 @@ def simulate_reproduction(
 
 
 def discrepancy(
-    observed_g: RipleyCurve,
-    observed_f: RipleyCurve,
+    observed_g: np.ndarray,
+    observed_f: np.ndarray,
     simulated: PointPattern,
     grid: DistanceGrid,
     n_ref: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> float:
-    """Integrated |G - G_sim| + |F - F_sim| over the grid."""
-    if not (observed_g.grid.same_as(grid) and observed_f.grid.same_as(grid)):
+    """Integrated |G - G_sim| + |F - F_sim| over the grid the observed curves used."""
+    if not (np.shape(observed_g) == np.shape(observed_f) == (len(grid),)):
         raise InvalidInputError("observed curves must be evaluated on the given grid")
     g_sim = g_function(simulated, grid)
     f_sim = f_function(simulated, grid, n_ref, seed)
     return (
-        trapezoid_integrate(grid.values, np.abs(observed_g.values - g_sim.values))
-        + trapezoid_integrate(grid.values, np.abs(observed_f.values - f_sim.values))
+        trapezoid_integrate(grid.values, np.abs(observed_g - g_sim))
+        + trapezoid_integrate(grid.values, np.abs(observed_f - f_sim))
     )
 
 

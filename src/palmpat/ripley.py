@@ -1,7 +1,7 @@
 """Single-scale nearest-neighbor statistics on point patterns.
 
 Implements the empirical G (nearest-neighbor), F (empty-space) and
-J = (1 - G) / (1 - F) functions evaluated on an explicit distance grid,
+J = (1 - G) / (1 - F) functions as float arrays over ``grid.values``,
 plus per-point k-nearest-neighbor summary statistics.
 
 Conventions, applied consistently so that observed and simulated patterns
@@ -27,6 +27,7 @@ from .geometry import PointPattern, Window, nearest_neighbor_distances
 from .seeding import DEFAULT_SEED, rng_from_seed
 
 DEFAULT_GRID_STEPS = 100
+STATISTICS = ("G", "F", "J")
 
 
 @dataclass(frozen=True)
@@ -58,26 +59,6 @@ class DistanceGrid:
             raise InvalidInputError(f"grid needs at least 2 steps, got {steps}")
         return cls(np.linspace(0.0, min(window.width, window.height) / 2.0, steps))
 
-    def same_as(self, other: "DistanceGrid") -> bool:
-        return np.array_equal(self.values, other.values)
-
-
-@dataclass(frozen=True)
-class RipleyCurve:
-    """Statistic values over a distance grid; NaN marks undefined entries."""
-
-    grid: DistanceGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float, copy=True)
-        if values.shape != (len(self.grid),):
-            raise InvalidInputError(
-                f"curve has {values.shape} values for a {len(self.grid)}-point grid"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
 
 @dataclass(frozen=True)
 class NeighborStats:
@@ -96,11 +77,11 @@ def _empirical_cdf(sorted_samples: np.ndarray, grid: DistanceGrid) -> np.ndarray
     return counts / sorted_samples.size
 
 
-def g_function(pattern: PointPattern, grid: DistanceGrid) -> RipleyCurve:
+def g_function(pattern: PointPattern, grid: DistanceGrid) -> np.ndarray:
     """Fraction of points with nearest-neighbor distance strictly below d."""
     nnd = nearest_neighbor_distances(pattern, k=1)[:, 0]
     nnd.sort()
-    return RipleyCurve(grid, _empirical_cdf(nnd, grid))
+    return _empirical_cdf(nnd, grid)
 
 
 def f_function(
@@ -108,7 +89,7 @@ def f_function(
     grid: DistanceGrid,
     n_ref: int | None = None,
     seed: int = DEFAULT_SEED,
-) -> RipleyCurve:
+) -> np.ndarray:
     """Empty-space function from seeded uniform reference points.
 
     ``n_ref`` defaults to max(1000, n) so that the Monte Carlo noise in F
@@ -125,18 +106,39 @@ def f_function(
     refs = rng.uniform(pattern.window.lo, pattern.window.hi, size=(n_ref, 2))
     dist, _ = cKDTree(pattern.coords).query(refs, k=1)
     dist.sort()
-    return RipleyCurve(grid, _empirical_cdf(dist, grid))
+    return _empirical_cdf(dist, grid)
 
 
-def j_function(g: RipleyCurve, f: RipleyCurve) -> RipleyCurve:
-    """Pointwise (1 - G) / (1 - F); NaN where F reaches 1."""
-    if not g.grid.same_as(f.grid):
-        raise InvalidInputError("G and F curves must share the same distance grid")
-    denom = 1.0 - f.values
+def j_function(
+    pattern: PointPattern,
+    grid: DistanceGrid,
+    n_ref: int | None = None,
+    seed: int = DEFAULT_SEED,
+) -> np.ndarray:
+    """Pointwise (1 - G) / (1 - F), F drawn as by ``f_function``; NaN where F is 1."""
+    g = g_function(pattern, grid)
+    denom = 1.0 - f_function(pattern, grid, n_ref, seed)
     values = np.full_like(denom, np.nan)
     ok = denom > 0.0
-    values[ok] = (1.0 - g.values[ok]) / denom[ok]
-    return RipleyCurve(g.grid, values)
+    values[ok] = (1.0 - g[ok]) / denom[ok]
+    return values
+
+
+def statistic_curve(
+    pattern: PointPattern,
+    grid: DistanceGrid,
+    statistic: str,
+    n_ref: int | None,
+    f_seed: int,
+) -> np.ndarray:
+    """Evaluate one named statistic; F and J consume the given reference seed."""
+    if statistic == "G":
+        return g_function(pattern, grid)
+    if statistic == "F":
+        return f_function(pattern, grid, n_ref, f_seed)
+    if statistic == "J":
+        return j_function(pattern, grid, n_ref, f_seed)
+    raise InvalidInputError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
 
 
 def nn_stats(pattern: PointPattern, k: int = 5, bins: int = 30) -> NeighborStats:

@@ -37,6 +37,14 @@ def brute_f_values(coords, refs, grid_values):
     return np.array([float((dmin < d).mean()) for d in grid_values])
 
 
+def brute_j_values(coords, refs, grid_values):
+    """(1 - G) / (1 - F) entry by entry; NaN where F is 1."""
+    g = brute_g_values(coords, grid_values)
+    f = brute_f_values(coords, refs, grid_values)
+    return np.array([(1.0 - gv) / (1.0 - fv) if fv < 1.0 else math.nan
+                     for gv, fv in zip(g, f)])
+
+
 def uniform_reference_stream(window, n_ref, seed):
     """Replicates the documented reference-point draw used by the F function."""
     rng = np.random.default_rng(seed)

@@ -1,4 +1,7 @@
 import hashlib
+import importlib
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from palmpat import (
     fit,
     match_counts,
 )
+from palmpat._pool import map_tasks
 from palmpat.cli import _read_rows, main, parse_points_csv, parse_range
 
 
@@ -178,6 +182,34 @@ def test_memory_error_is_one_line_data_error(exc, message, points_csv, tmp_path,
                  "--window", "0", "0", "50", "50", "--out-dir", str(tmp_path)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
+
+TEST_PID = os.getpid()
+
+
+def _exit_in_worker(task):
+    """Kill the process it runs in, unless that is the test process itself."""
+    if os.getpid() != TEST_PID:
+        os._exit(1)
+    raise AssertionError("ran in the test process, not in a pool worker")
+
+
+def test_crashed_worker_breaks_the_pool(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "2")
+    with pytest.raises(BrokenProcessPool):
+        map_tasks(_exit_in_worker, [0, 1])
+
+
+def test_crashed_worker_is_one_line_data_error(points_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "2")
+    # the package's ``envelope`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("palmpat.envelope"), "_sim_curve",
+                        _exit_in_worker)
+    code = main(["envelope", "--points", points_csv, "--stat", "g", "--m", "19",
+                 "--grid-steps", "10", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("threads, message", [
@@ -540,6 +572,16 @@ CLI_GOLDEN = {
             "stdout": "7f939b55ab5f385be8be3872f972a99061712befc431e878adda07640079af3d",
         },
     ),
+    # 7 of 25 entries NaN (F reaches 1): the polyline skips them.
+    "ripley_j_svg": (
+        ["ripley", "--stat", "j", "--grid-steps", "25", "--grid-max", "45", "--n-ref", "300",
+         "--seed", "4", "--svg"],
+        {
+            "ripley_j.csv": "0addc0e38e0b1193cf099ca2f997ca663638202fa13643091af788f148173bd4",
+            "ripley_j.svg": "0e63770969aa62bd866fcc2f25243fde8d646968e262cbd3a6eb45fc5de1a2e6",
+            "stdout": "59c3b1a2a8e3736ce27d90007b52cfad84b5062b6e12c7bfac0e95b541e2b044",
+        },
+    ),
     "ripley_auto_window": (
         ["ripley", "--stat", "g", "--grid-max", "auto", "--window", "-10", "0", "210", "170"],
         {
@@ -554,6 +596,16 @@ CLI_GOLDEN = {
             "envelope_f.csv": "0a1d259c2f18531aea0dfc69a715f195a7422dfc5064e46e0603e26c541f51c0",
             "envelope_f.svg": "d7e217ffee900d0be5a1fcd2dfcae0b412032b01279fe632cd113200b0d12039",
             "stdout": "17feb4370048dc08de1d05c03f086e0dfc3a8218be1082a5feb1d17adeab7816",
+        },
+    ),
+    # Observed J is NaN at 4 of 20 entries and the band at 1: the polygon skips that one.
+    "envelope_j_svg": (
+        ["envelope", "--stat", "j", "--m", "19", "--grid-steps", "20", "--grid-max", "50",
+         "--n-ref", "200", "--seed", "9", "--svg"],
+        {
+            "envelope_j.csv": "5f2234a1dc00b041203178b2c9807f60debcab5b9d1a357686b0b52d82a40911",
+            "envelope_j.svg": "7ec7026581fc8764295fcdf234a5c47a3ad86ec289420c96f040600b67b1d728",
+            "stdout": "4c690980e4d3a12dcc635d729cc986515e35ac739357c82c6700d679eceeb0d9",
         },
     ),
     "simulate_csr": (

@@ -174,11 +174,11 @@ def test_p_zero_matches_csr_distribution():
     grid = DistanceGrid([20.0, 40.0, 60.0])
     params = ReproductionParams(0.0, 10.0)
     repro = np.array([
-        g_function(simulate_reproduction(window, 200, params, seed=50_000 + t), grid).values
+        g_function(simulate_reproduction(window, 200, params, seed=50_000 + t), grid)
         for t in range(100)
     ])
     csr = np.array([
-        g_function(simulate_csr(window, 200, seed=60_000 + t), grid).values
+        g_function(simulate_csr(window, 200, seed=60_000 + t), grid)
         for t in range(100)
     ])
     for col in range(len(grid)):
@@ -217,8 +217,8 @@ def test_discrepancy_equals_stepwise_pipeline():
     g_s = g_function(simulated, grid)
     f_s = f_function(simulated, grid, 400, seed=5)
     stepwise = (
-        trapezoid_integrate(grid.values, np.abs(obs_g.values - g_s.values))
-        + trapezoid_integrate(grid.values, np.abs(obs_f.values - f_s.values))
+        trapezoid_integrate(grid.values, np.abs(obs_g - g_s))
+        + trapezoid_integrate(grid.values, np.abs(obs_f - f_s))
     )
     assert direct == stepwise
 

@@ -9,7 +9,6 @@ from palmpat import (
     DistanceGrid,
     InvalidInputError,
     PointPattern,
-    RipleyCurve,
     Window,
     f_function,
     g_function,
@@ -17,7 +16,14 @@ from palmpat import (
     nn_stats,
     simulate_csr,
 )
-from oracles import brute_f_values, brute_g_values, brute_knn_distances, uniform_reference_stream
+from palmpat.ripley import statistic_curve
+from oracles import (
+    brute_f_values,
+    brute_g_values,
+    brute_j_values,
+    brute_knn_distances,
+    uniform_reference_stream,
+)
 
 
 def pattern_on(window, coords):
@@ -49,13 +55,13 @@ def test_default_grid_spans_half_shorter_side():
 def test_g_strict_inequality_at_exact_distance():
     p = pattern_on(Window(0, 0, 10, 10), [[0, 0], [5, 0]])
     curve = g_function(p, DistanceGrid([3.0, 5.0, 6.0]))
-    assert curve.values.tolist() == [0.0, 0.0, 1.0]
+    assert curve.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_g_collinear():
     p = pattern_on(Window(-1, -1, 4, 1), [[0, 0], [1, 0], [3, 0]])
     curve = g_function(p, DistanceGrid([1.5]))
-    assert curve.values.tolist() == [2.0 / 3.0]
+    assert curve.tolist() == [2.0 / 3.0]
 
 
 def test_g_matches_brute_force():
@@ -64,7 +70,7 @@ def test_g_matches_brute_force():
     p = pattern_on(Window(0, 0, 100, 100), coords)
     grid = DistanceGrid(np.sort(rng.uniform(0, 60, size=25)))
     np.testing.assert_array_equal(
-        g_function(p, grid).values, brute_g_values(coords, grid.values)
+        g_function(p, grid), brute_g_values(coords, grid.values)
     )
 
 
@@ -74,7 +80,7 @@ def test_g_is_one_beyond_max_nn_distance():
     p = pattern_on(Window(0, 0, 10, 10), coords)
     max_nnd = brute_knn_distances(coords, 1).max()
     curve = g_function(p, DistanceGrid([max_nnd * 1.0001]))
-    assert curve.values.tolist() == [1.0]
+    assert curve.tolist() == [1.0]
 
 
 def test_g_requires_two_points():
@@ -89,14 +95,14 @@ def test_f_is_one_beyond_window_diagonal():
     w = Window(0, 0, 10, 10)
     p = simulate_csr(w, 20, seed=1)
     curve = f_function(p, DistanceGrid([math.hypot(w.width, w.height) * 1.01]), 500, seed=2)
-    assert curve.values.tolist() == [1.0]
+    assert curve.tolist() == [1.0]
 
 
 def test_f_is_zero_at_distance_zero():
     w = Window(0, 0, 10, 10)
     p = simulate_csr(w, 20, seed=1)
     curve = f_function(p, DistanceGrid([0.0]), 500, seed=2)
-    assert curve.values.tolist() == [0.0]
+    assert curve.tolist() == [0.0]
 
 
 def test_f_matches_direct_count_with_same_reference_stream():
@@ -106,7 +112,7 @@ def test_f_matches_direct_count_with_same_reference_stream():
     seed = 99
     fast = f_function(p, grid, 100_000, seed=seed)
     refs = uniform_reference_stream(w, 100_000, seed)
-    np.testing.assert_array_equal(fast.values, brute_f_values(p.coords, refs, grid.values))
+    np.testing.assert_array_equal(fast, brute_f_values(p.coords, refs, grid.values))
 
 
 def test_f_reproducible_and_seed_sensitive():
@@ -116,8 +122,8 @@ def test_f_reproducible_and_seed_sensitive():
     a = f_function(p, grid, 400, seed=11)
     b = f_function(p, grid, 400, seed=11)
     c = f_function(p, grid, 400, seed=12)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_f_default_reference_count_is_1000_for_small_patterns():
@@ -125,8 +131,8 @@ def test_f_default_reference_count_is_1000_for_small_patterns():
     p = simulate_csr(w, 30, seed=5)
     grid = DistanceGrid.default(w, 20)
     np.testing.assert_array_equal(
-        f_function(p, grid, None, seed=7).values,
-        f_function(p, grid, 1000, seed=7).values,
+        f_function(p, grid, None, seed=7),
+        f_function(p, grid, 1000, seed=7),
     )
 
 
@@ -140,42 +146,70 @@ def test_f_rejects_empty_pattern():
 # ---------------------------------------------------------------- J
 
 
-def _curve(grid_values, values):
-    return RipleyCurve(DistanceGrid(grid_values), np.asarray(values, dtype=float))
+def oracle_j(pattern, grid, n_ref, seed):
+    refs = uniform_reference_stream(pattern.window, n_ref, seed)
+    return brute_j_values(pattern.coords, refs, grid.values)
 
 
 def test_j_is_one_when_g_equals_f():
-    g = _curve([1, 2, 3], [0.1, 0.5, 0.9])
-    f = _curve([1, 2, 3], [0.1, 0.5, 0.9])
-    np.testing.assert_array_equal(j_function(g, f).values, [1.0, 1.0, 1.0])
+    # Nearest-neighbour distances 1, 1, 3 and 5: G is 1/2 on (1, 3] and 3/4 on
+    # (3, 5]. With this seed's four reference points F meets both levels.
+    p = pattern_on(Window(0, 0, 10, 10), [[2, 2], [3, 2], [6, 7], [6, 2]])
+    grid = DistanceGrid(np.linspace(0.0, 6.0, 61))
+    refs = uniform_reference_stream(p.window, 4, 1)
+    g = brute_g_values(p.coords, grid.values)
+    f = brute_f_values(p.coords, refs, grid.values)
+    same = (g == f) & (f < 1.0)
+    assert set(g[same]) == {0.0, 0.5, 0.75}
+    j = j_function(p, grid, 4, seed=1)
+    assert np.all(j[same] == 1.0)
+    np.testing.assert_array_equal(j, oracle_j(p, grid, 4, 1))
 
 
-def test_j_pointwise_ratio():
-    g = _curve([1.0], [0.5])
-    f = _curve([1.0], [0.25])
-    assert j_function(g, f).values.tolist() == [0.5 / 0.75]
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=99_999),
+       n=st.integers(min_value=2, max_value=80),
+       n_ref=st.integers(min_value=1, max_value=300))
+def test_j_pointwise_ratio(seed, n, n_ref):
+    # Distances up to past the window diagonal, so some entries have F = 1.
+    w = Window(0, 0, 60, 40)
+    p = simulate_csr(w, n, seed=seed)
+    rng = np.random.default_rng(seed)
+    grid = DistanceGrid(np.unique(rng.uniform(0.0, 80.0, size=15)))
+    np.testing.assert_array_equal(j_function(p, grid, n_ref, seed + 1),
+                                  oracle_j(p, grid, n_ref, seed + 1))
 
 
 def test_j_zero_when_g_saturates():
-    g = _curve([1.0], [1.0])
-    f = _curve([1.0], [0.5])
-    assert j_function(g, f).values.tolist() == [0.0]
+    # Ten tight pairs, 0.01 apart: G is 1 from d = 0.02 while F stays below 1.
+    rng = np.random.default_rng(5)
+    centres = rng.uniform(10, 90, size=(10, 2))
+    p = pattern_on(Window(0, 0, 100, 100), np.vstack([centres, centres + [0.01, 0.0]]))
+    grid = DistanceGrid([0.0, 0.02, 1.0, 5.0, 20.0])
+    j = j_function(p, grid, 500, seed=3)
+    np.testing.assert_array_equal(j, oracle_j(p, grid, 500, 3))
+    assert j.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_j_undefined_where_f_is_one():
-    g = _curve([1, 2], [0.5, 0.9])
-    f = _curve([1, 2], [0.5, 1.0])
-    j = j_function(g, f)
-    assert j.values[0] == 1.0
-    assert np.isnan(j.values[1])
-    assert (~np.isnan(j.values)).tolist() == [True, False]
+    # At the largest reference distance F is 1 - 1/n_ref, still defined.
+    w = Window(0, 0, 10, 10)
+    p = simulate_csr(w, 20, seed=1)
+    refs = uniform_reference_stream(w, 5000, 2)
+    farthest = np.hypot(*(refs[:, None, :] - p.coords).T).min(axis=0).max()
+    empty = brute_f_values(p.coords, refs, [farthest])[0]
+    assert empty == 1.0 - 1.0 / 5000
+    grid = DistanceGrid([0.0, 1.0, farthest, math.hypot(w.width, w.height) * 1.01])
+    j = j_function(p, grid, 5000, seed=2)
+    np.testing.assert_array_equal(j, oracle_j(p, grid, 5000, 2))
+    assert j[0] == 1.0 and np.isfinite(j[1:3]).all() and np.isnan(j[3])
 
 
-def test_j_rejects_mismatched_grids():
-    g = _curve([1, 2], [0.1, 0.2])
-    f = _curve([1, 3], [0.1, 0.2])
-    with pytest.raises(InvalidInputError):
-        j_function(g, f)
+def test_statistic_curve_rejects_unknown_name():
+    p = simulate_csr(Window(0, 0, 10, 10), 20, seed=1)
+    message = r"statistic must be one of \('G', 'F', 'J'\), got 'K'"
+    with pytest.raises(InvalidInputError, match=message):
+        statistic_curve(p, DistanceGrid([0.0, 1.0]), "K", None, 0)
 
 
 # ---------------------------------------------------------------- curve shape properties
@@ -188,8 +222,7 @@ def test_g_and_f_are_nondecreasing_cdfs(seed, n):
     w = Window(0, 0, 100, 100)
     p = simulate_csr(w, n, seed=seed)
     grid = DistanceGrid.default(w, 30)
-    for curve in (g_function(p, grid), f_function(p, grid, 200, seed=seed + 1)):
-        v = curve.values
+    for v in (g_function(p, grid), f_function(p, grid, 200, seed=seed + 1)):
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
         assert np.all(np.diff(v) >= 0.0)
 
@@ -242,21 +275,21 @@ COINCIDENT = pattern_on(Window(0, 0, 10, 10), [[3.0, 7.0]] * 20)
 def test_coincident_g_and_f_match_brute_force():
     grid = DistanceGrid(np.linspace(0.0, 12.0, 25))
     g = g_function(COINCIDENT, grid)
-    np.testing.assert_array_equal(g.values, brute_g_values(COINCIDENT.coords, grid.values))
-    assert g.values.tolist() == [0.0] + [1.0] * 24
+    np.testing.assert_array_equal(g, brute_g_values(COINCIDENT.coords, grid.values))
+    assert g.tolist() == [0.0] + [1.0] * 24
     f = f_function(COINCIDENT, grid, 500, seed=4)
     refs = uniform_reference_stream(COINCIDENT.window, 500, 4)
-    np.testing.assert_array_equal(f.values, brute_f_values(COINCIDENT.coords, refs, grid.values))
+    np.testing.assert_array_equal(f, brute_f_values(COINCIDENT.coords, refs, grid.values))
 
 
 @pytest.mark.filterwarnings("error")
 def test_coincident_j_is_one_at_zero_then_zero_or_undefined():
     grid = DistanceGrid(np.linspace(0.0, 12.0, 25))
-    g = g_function(COINCIDENT, grid)
     f = f_function(COINCIDENT, grid, 500, seed=4)
-    j = j_function(g, f).values
+    j = j_function(COINCIDENT, grid, 500, seed=4)
+    np.testing.assert_array_equal(j, oracle_j(COINCIDENT, grid, 500, 4))
     assert j[0] == 1.0
-    undefined = f.values == 1.0
+    undefined = f == 1.0
     assert undefined.any() and np.all(np.isnan(j[undefined]))
     assert np.all(j[1:][~undefined[1:]] == 0.0)
 
