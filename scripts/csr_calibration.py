@@ -21,6 +21,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from palmpat import DistanceGrid, ReproductionParams, Window, envelope, simulate_csr, simulate_reproduction
 from palmpat.cli import write_csv
+from palmpat.envelope import DEFAULT_SIMULATIONS
 
 
 def load_oracles():
@@ -38,7 +39,7 @@ def build_args():
     ap.add_argument("--runs", type=int, default=100, help="patterns per condition")
     ap.add_argument("--n", type=int, default=500, help="points per pattern")
     ap.add_argument("--side", type=float, default=1000.0)
-    ap.add_argument("--m", type=int, default=199, help="envelope simulations")
+    ap.add_argument("--m", type=int, default=DEFAULT_SIMULATIONS, help="envelope simulations")
     ap.add_argument("--cluster-p", type=float, default=0.9)
     ap.add_argument("--cluster-sigma-frac", type=float, default=0.01,
                     help="cluster spread as a fraction of the window side")

@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from palmpat import ReproductionParams, Window, fit, simulate_reproduction
 from palmpat.cli import parse_range, write_csv
+from palmpat.reproduction import DEFAULT_TRIALS
 
 DEFAULT_TRUTH_P = 0.5
 DEFAULT_TRUTH_SIGMA = 60.0
@@ -31,7 +32,7 @@ def build_args():
     ap.add_argument("--n", type=int, default=1500, help="points per pattern")
     ap.add_argument("--p", default="0.30:0.70:0.05")
     ap.add_argument("--sigma", default="40:80:10")
-    ap.add_argument("--trials", type=int, default=10)
+    ap.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     ap.add_argument("--n-ref", type=int, default=8000)
     ap.add_argument("--seeds", type=int, default=10, help="number of master seeds")
     ap.add_argument("--seed-base", type=int, default=100)

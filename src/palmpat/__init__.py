@@ -19,7 +19,6 @@ from .geometry import (
     nearest_neighbor_distances,
 )
 from .reproduction import (
-    FitCell,
     FitResult,
     ReproductionParams,
     SimulationDiagnostics,
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_SEED",
     "DistanceGrid",
     "EnvelopeResult",
-    "FitCell",
     "FitResult",
     "InvalidInputError",
     "MatchReport",

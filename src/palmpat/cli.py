@@ -46,11 +46,11 @@ from .detections import (
     merge_nms,
     to_global,
 )
-from .envelope import DEFAULT_SIMULATIONS, envelope, simulate_csr
+from .envelope import DEFAULT_SIMULATIONS, EnvelopeResult, envelope, simulate_csr
 from .errors import InvalidInputError
 from .geometry import PointPattern, Window
-from .reproduction import DEFAULT_TRIALS, ReproductionParams, fit, simulate_reproduction
-from .ripley import DEFAULT_GRID_STEPS, DistanceGrid, nn_stats, statistic_curve
+from .reproduction import DEFAULT_TRIALS, FitResult, ReproductionParams, fit, simulate_reproduction
+from .ripley import DEFAULT_GRID_STEPS, DistanceGrid, NeighborStats, nn_stats, statistic_curve
 from .seeding import DEFAULT_SEED
 
 logger = logging.getLogger(__name__)
@@ -180,6 +180,28 @@ def write_csv(path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+# Shared with scripts/site_analysis.py; each calls write_csv by its global name.
+def write_curve(path, grid: DistanceGrid, curve) -> None:
+    write_csv(path, ["d", "value"], zip(grid.values, curve))
+
+
+def write_envelope(path, grid: DistanceGrid, result: EnvelopeResult) -> None:
+    write_csv(path, ["d", "observed", "mean", "lo95", "hi95", "p"],
+              zip(grid.values, result.observed, result.sim_mean, result.lo95,
+                  result.hi95, result.p_values))
+
+
+def write_fit_table(path, result: FitResult) -> None:
+    header = ["p", "sigma", "d_total"] + [f"d_{i}" for i in range(1, result.d.shape[1] + 1)]
+    write_csv(path, header,
+              np.column_stack((result.p, result.sigma, result.d_total, result.d)).tolist())
+
+
+def write_nn_histogram(path, stats: NeighborStats) -> None:
+    write_csv(path, ["bin_lo", "bin_hi", "count"],
+              zip(stats.bin_edges[:-1], stats.bin_edges[1:], stats.counts.tolist()))
+
+
 def write_curve_svg(path, x, series, band=None) -> None:
     """Minimal deterministic line chart: optional band polygon + polylines.
 
@@ -273,7 +295,7 @@ def cmd_ripley(args) -> int:
     curve = statistic_curve(pattern, grid, stat, args.n_ref, args.seed)
     if args.svg:
         _emit(args, f"ripley_{args.stat}.svg", write_curve_svg, grid.values, [(stat, curve)])
-    _emit(args, f"ripley_{args.stat}.csv", write_csv, ["d", "value"], zip(grid.values, curve))
+    _emit(args, f"ripley_{args.stat}.csv", write_curve, grid, curve)
     return EXIT_OK
 
 
@@ -282,17 +304,10 @@ def cmd_envelope(args) -> int:
     grid = _grid(args, pattern.window)
     result = envelope(pattern, grid, args.stat.upper(), args.envelope_m, args.seed, args.n_ref)
     if args.svg:
-        _emit(
-            args, f"envelope_{args.stat}.svg", write_curve_svg, grid.values,
-            [("observed", result.observed), ("sim mean", result.sim_mean)],
-            (result.lo95, result.hi95),
-        )
-    _emit(
-        args, f"envelope_{args.stat}.csv", write_csv,
-        ["d", "observed", "mean", "lo95", "hi95", "p"],
-        zip(grid.values, result.observed, result.sim_mean, result.lo95,
-            result.hi95, result.p_values),
-    )
+        _emit(args, f"envelope_{args.stat}.svg", write_curve_svg, grid.values,
+              [("observed", result.observed), ("sim mean", result.sim_mean)],
+              (result.lo95, result.hi95))
+    _emit(args, f"envelope_{args.stat}.csv", write_envelope, grid, result)
     return EXIT_OK
 
 
@@ -315,13 +330,9 @@ def cmd_fit(args) -> int:
     sigma_candidates = parse_range(args.sigma)
     pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     grid = _grid(args, pattern.window)
-    result = fit(
-        pattern, p_candidates, sigma_candidates,
-        n_trials=args.n_trials, grid=grid, n_ref=args.n_ref, seed=args.seed,
-    )
-    header = ["p", "sigma", "d_total"] + [f"d_{i}" for i in range(1, args.n_trials + 1)]
-    rows = [[c.p, c.sigma, c.d_total, *c.d_trials] for c in result.table]
-    _emit(args, "fit_table.csv", write_csv, header, rows)
+    result = fit(pattern, p_candidates, sigma_candidates, n_trials=args.n_trials, grid=grid,
+                 n_ref=args.n_ref, seed=args.seed)
+    _emit(args, "fit_table.csv", write_fit_table, result)
     print(f"p*={_fmt(result.best.p)} sigma*={_fmt(result.best.sigma)} d_min={_fmt(result.d_min)}")
     return EXIT_OK
 
@@ -376,12 +387,7 @@ def cmd_nn_stats(args) -> int:
         [["k", args.k], ["n", len(pattern)], ["mean", stats.mean],
          ["median", stats.median], ["std", stats.std]],
     )
-    _emit(
-        args, "nn_histogram.csv", write_csv,
-        ["bin_lo", "bin_hi", "count"],
-        ([stats.bin_edges[i], stats.bin_edges[i + 1], int(stats.counts[i])]
-         for i in range(len(stats.counts))),
-    )
+    _emit(args, "nn_histogram.csv", write_nn_histogram, stats)
     print(f"mean={_fmt(stats.mean)} median={_fmt(stats.median)} std={_fmt(stats.std)}")
     return EXIT_OK
 

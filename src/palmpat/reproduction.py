@@ -61,21 +61,16 @@ class ReproductionParams:
             raise InvalidInputError(f"sigma must be positive, got {self.sigma}")
 
 
-@dataclass(frozen=True)
-class FitCell:
-    """One grid-search cell: candidate pair, total and per-trial discrepancies."""
-
-    p: float
-    sigma: float
-    d_total: float
-    d_trials: tuple[float, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
+    """The best cell and the whole table as arrays in scan order (see ``fit``)."""
+
     best: ReproductionParams
     d_min: float
-    table: tuple[FitCell, ...]
+    p: np.ndarray
+    sigma: np.ndarray
+    d: np.ndarray
+    d_total: np.ndarray
 
 
 @dataclass
@@ -196,8 +191,10 @@ def fit(
 
     The observed curves are computed once up front; every candidate cell
     then runs ``n_trials`` simulations of ``len(observed)`` points and
-    accumulates their discrepancies. Returns the full table (scan order:
-    p outer, sigma inner, trials in order) plus the best cell: the first
+    accumulates their discrepancies. Returns the table as arrays in scan
+    order (p outer, sigma inner): ``p``, ``sigma`` and ``d_total`` are
+    (cells,), ``d`` is (cells, n_trials), and ``d_total`` is the Python
+    ``sum`` of each row of ``d`` in trial order. ``best`` is the first
     minimum of ``d_total`` in scan order, so a tie goes to the earlier cell.
     ``n_ref`` is passed to every F evaluation as given (None: the
     ``f_function`` default, which depends only on the shared point count).
@@ -224,8 +221,8 @@ def fit(
         for k, params in enumerate(cells)
         for t in range(n_trials)
     ]
-    d_values = map_tasks(_trial_discrepancy, tasks)
-    runs = [tuple(d_values[i:i + n_trials]) for i in range(0, len(d_values), n_trials)]
-    table = tuple(FitCell(c.p, c.sigma, float(sum(d)), d) for c, d in zip(cells, runs))
-    best = min(table, key=lambda c: c.d_total)
-    return FitResult(ReproductionParams(best.p, best.sigma), best.d_total, table)
+    d = np.reshape(map_tasks(_trial_discrepancy, tasks), (len(cells), n_trials))
+    d_total = np.array([sum(row) for row in d.tolist()])  # numpy's sum can differ
+    k = int(np.argmin(d_total))
+    return FitResult(cells[k], float(d_total[k]), np.array([c.p for c in cells]),
+                     np.array([c.sigma for c in cells]), d, d_total)

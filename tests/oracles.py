@@ -86,7 +86,7 @@ def brute_fit(observed, p_candidates, sigma_candidates, n_trials, grid=None, n_r
     strict minimum of the cell totals in scan order (p outer, sigma inner)."""
     from palmpat import (DistanceGrid, ReproductionParams, discrepancy, f_function,
                          g_function, simulate_reproduction)
-    from palmpat.reproduction import FitCell, FitResult
+    from palmpat.reproduction import FitResult
     from palmpat.seeding import substream_seed
 
     ps = [float(p) for p in p_candidates]
@@ -110,16 +110,32 @@ def brute_fit(observed, p_candidates, sigma_candidates, n_trials, grid=None, n_r
                 simulated = simulate_reproduction(observed.window, n, ReproductionParams(p, s),
                                                   substream_seed(seed, 1, ip, is_, t))
                 d_values.append(discrepancy(obs_g, obs_f, simulated, grid, n_ref, f_seed))
-    table, best, d_min, cursor = [], None, math.inf, 0
+    cell_p, cell_sigma, rows, totals = [], [], [], []
+    best, d_min, cursor = None, math.inf, 0
     for p in ps:
         for s in sigmas:
-            d_trials = tuple(d_values[cursor:cursor + n_trials])
+            d_trials = d_values[cursor:cursor + n_trials]
             cursor += n_trials
             d_total = float(sum(d_trials))
-            table.append(FitCell(p, s, d_total, d_trials))
+            cell_p.append(p)
+            cell_sigma.append(s)
+            rows.append(d_trials)
+            totals.append(d_total)
             if d_total < d_min:
                 d_min, best = d_total, ReproductionParams(p, s)
-    return FitResult(best=best, d_min=float(d_min), table=tuple(table))
+    return FitResult(best=best, d_min=float(d_min), p=np.array(cell_p),
+                     sigma=np.array(cell_sigma), d=np.array(rows), d_total=np.array(totals))
+
+
+def assert_same_fit(result, expected):
+    """Two fit results agree bit for bit: best cell, d_min and every array's
+    shape, dtype and bytes."""
+    assert result.best == expected.best
+    assert result.d_min == expected.d_min
+    for name in ("p", "sigma", "d", "d_total"):
+        got, want = getattr(result, name), getattr(expected, name)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype), name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def brute_iou(a, b):

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import os
+import re
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -9,13 +10,16 @@ import pytest
 import palmpat.cli
 from palmpat import (
     DistanceGrid,
+    FitResult,
     InvalidInputError,
+    ReproductionParams,
     Window,
     fit,
     match_counts,
 )
 from palmpat._pool import map_tasks
 from palmpat.cli import _read_rows, main, parse_points_csv, parse_range
+from oracles import assert_same_fit
 
 
 def write(path, text):
@@ -364,7 +368,8 @@ def test_fit_cli_matches_library(points_csv, tmp_path, capsys):
                  "--sigma", "3:6:3", "--trials", "2", "--grid-steps", "15",
                  "--n-ref", "150", "--seed", "7", "--out-dir", str(out)]) == 0
     stdout = capsys.readouterr().out
-    assert "p*=" in stdout and "sigma*=" in stdout
+    best = re.fullmatch(r"p\*=(\S+) sigma\*=(\S+) d_min=(\S+)", stdout.splitlines()[-1])
+    assert best
 
     pattern = parse_points_csv(points_csv)
     grid = DistanceGrid.default(pattern.window, 15)
@@ -372,13 +377,11 @@ def test_fit_cli_matches_library(points_csv, tmp_path, capsys):
                    n_ref=150, seed=7)
     lines = (out / "fit_table.csv").read_text().splitlines()
     assert lines[0] == "p,sigma,d_total,d_1,d_2"
-    rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == len(expected.table)
-    for row, cell in zip(rows, expected.table):
-        assert float(row[0]) == cell.p
-        assert float(row[1]) == cell.sigma
-        assert float(row[2]) == cell.d_total
-        assert tuple(float(v) for v in row[3:]) == cell.d_trials
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    p_star, sigma_star, d_min = map(float, best.groups())
+    written = FitResult(ReproductionParams(p_star, sigma_star), d_min, rows[:, 0], rows[:, 1],
+                        rows[:, 3:], rows[:, 2])
+    assert_same_fit(written, expected)
 
 
 def test_merge_known_offsets(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Smoke tests: each experiment script runs to completion on tiny inputs
 and writes the files it promises."""
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,31 @@ def test_site_analysis_writes_every_output(centres_csv, tmp_path):
     expected |= {f"nn_{kind}_k{k}.csv" for kind in ("stats", "histogram") for k in (1, 5)}
     assert {p.name for p in out.iterdir()} == expected
     assert (out / "ripley_j.csv").read_text().splitlines()[0] == "d,value"
+
+
+SITE_HASHES = {
+    "envelope_f.csv": "d626bc6bd7a66ba3a8a6c60dfc649eb86e4b9c92b07ac3131547844a698391d6",
+    "envelope_g.csv": "8370c9214483f75d65c608b509ce1ef8ce44ec48387dd1d4887e801e4fa854b9",
+    "envelope_j.csv": "96061bfa8a8de61d657d694aeeb93944bfe447a2ef78cbd187dee57a4ee565f6",
+    "fit_table.csv": "d33736a366faa69aafb2c75b40a2db563800862ff8be0b95db7bff8b6096c7d4",
+    "nn_histogram_k1.csv": "63dce444bbe0bb588b77182e438a309500b077a3efdadaeb785a0853f6ffb799",
+    "nn_histogram_k5.csv": "e4cacb708a54042cd5b351a988a4c0bd0d2a85f75c2adef949fd0e4917ffe882",
+    "nn_stats_k1.csv": "6ed806e354a5b9a6716b5fb7fa8f315990f8e6fbae0edd711b2de6919b890cfc",
+    "nn_stats_k5.csv": "a7da0fb21791a1b85ca813917618f1af82e63a470f6dbd309a2248b3f75708c4",
+    "ripley_f.csv": "d59b1ddb755c15b9fa13cd87a2dec50c94db935969a53259503da1cea22f9b4f",
+    "ripley_g.csv": "3ce921700d65aa4001ecfd85b0b6bd792e825e9415a5700d6336c1810e57d5eb",
+    "ripley_j.csv": "e32b6aff9bc24b2b1565dbaaf357bd2e560277a3077ae6d236643c5f3de31453",
+}
+
+
+def test_site_analysis_with_fit_writes_golden_outputs(centres_csv, tmp_path):
+    out = tmp_path / "site"
+    stdout = run_script("site_analysis.py", "--points", centres_csv, "--out-dir", out,
+                        "--m", 19, "--n-ref", 200, "--grid-steps", 20, "--trials", 2,
+                        "--p", "0.4:0.6:0.2", "--sigma", "20:40:20", cwd=tmp_path)
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert hashes == SITE_HASHES
+    assert "fit: p*=0.4 sigma*=40.0 d_min=7.069" in stdout
 
 
 def test_csr_calibration_writes_one_row_per_run(tmp_path):
