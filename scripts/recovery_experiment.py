@@ -3,17 +3,24 @@
 
 Generates observed patterns from known (p, sigma), refits them over a
 candidate grid, and reports how often the minimizer lands within one grid
-step of the truth. Per-seed results go to a CSV for later inspection.
+step of the truth. Per-seed results go to a CSV for later inspection, and
+a record of the run (each seed's p*, sigma* and hit, hits out of seeds with
+a Wilson 95% interval, the git revision and the wall time) to a JSON file
+with the CSV's name and a .json suffix.
 
 Example:
     python scripts/recovery_experiment.py --out results/recovery.csv --seeds 10
 """
 import argparse
+import json
+import math
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
 from palmpat import ReproductionParams, Window, fit, simulate_reproduction
 from palmpat.cli import parse_range, write_csv
@@ -21,6 +28,23 @@ from palmpat.reproduction import DEFAULT_TRIALS
 
 DEFAULT_TRUTH_P = 0.5
 DEFAULT_TRUTH_SIGMA = 60.0
+
+
+def wilson(hits, n, z=1.959963984540054):
+    """Wilson score interval for a binomial proportion (95% at the default z)."""
+    centre = (hits + z * z / 2) / (n + z * z)
+    half = z * math.sqrt(hits * (n - hits) / n + z * z / 4) / (n + z * z)
+    return centre - half, centre + half
+
+
+def revision():
+    """The checkout's git revision, marked -dirty when it has local changes."""
+    try:
+        done = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"],
+                              cwd=REPO, capture_output=True, text=True)
+    except OSError:  # no git
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
 def build_args():
@@ -50,6 +74,7 @@ def main():
 
     rows = []
     hits = 0
+    start = time.perf_counter()
     for i in range(args.seeds):
         obs_seed = args.seed_base + i
         fit_seed = args.seed_base + 100 + i
@@ -70,7 +95,18 @@ def main():
     write_csv(args.out,
               ["obs_seed", "fit_seed", "p_star", "sigma_star", "d_min", "hit", "seconds"],
               rows)
-    print(f"recovered within one step in {hits}/{args.seeds} seeds -> {args.out}")
+    record = {
+        "revision": revision(),
+        "wall_s": round(time.perf_counter() - start, 1),
+        "seeds": args.seeds,
+        "hits": hits,
+        "wilson_95": [round(bound, 4) for bound in wilson(hits, args.seeds)],
+        "per_seed": [{"obs_seed": row[0], "p_star": row[2], "sigma_star": row[3],
+                      "hit": bool(row[5])} for row in rows],
+    }
+    record_path = Path(args.out).with_suffix(".json")
+    record_path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"recovered within one step in {hits}/{args.seeds} seeds -> {args.out}, {record_path}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,12 @@
+import importlib
 import itertools
+import logging
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +38,30 @@ from oracles import (
     piecewise_linear_integral,
     rejects_csr_at_5pct,
 )
+
+reproduction = importlib.import_module("palmpat.reproduction")
+
+
+def compiled_sampler_missing():
+    """What the compiled sampler needs and this host lacks, or None."""
+    if shutil.which("cc") is None:
+        return "cc is not on PATH"
+    if not (Path(np.random.__file__).with_name("lib") / "libnpyrandom.a").exists():
+        return "numpy's random/lib/libnpyrandom.a is missing"
+    return None
+
+
+@pytest.fixture
+def compiled_sampler():
+    missing = compiled_sampler_missing()
+    if missing:
+        pytest.skip(f"the compiled sampler cannot be built: {missing}")
+    assert reproduction.load_sampler() is not None
+
+
+@pytest.fixture
+def scalar_sampler(monkeypatch):
+    monkeypatch.setattr(reproduction, "_sampler", False)
 
 
 # ---------------------------------------------------------------- trapezoid rule
@@ -123,7 +155,7 @@ BATTERY_ORIGINS = [(0.0, 0.0), (1e6 + 0.1, 1e6), (-3e7, -3e7)]
 
 @pytest.mark.parametrize("origin", BATTERY_ORIGINS)
 @pytest.mark.parametrize("p, sigma", BATTERY_PARAMS)
-def test_simulation_is_byte_equal_to_array_loop(p, sigma, origin):
+def test_simulation_is_byte_equal_to_array_loop(p, sigma, origin, compiled_sampler):
     x0, y0 = origin
     window = Window(x0, y0, x0 + 100.0, y0 + 60.0)
     fallbacks = steps = 0
@@ -142,7 +174,7 @@ def test_simulation_is_byte_equal_to_array_loop(p, sigma, origin):
         assert fallbacks > 0
 
 
-def test_gaussian_fallback_is_counted_not_fatal():
+def test_gaussian_fallback_is_counted_not_fatal(compiled_sampler):
     # sigma far beyond the window: every in-window resample fails, so each
     # clustered step exhausts its attempts and falls back to a uniform draw
     window = Window(0.0, 0.0, 1.0, 1.0)
@@ -153,6 +185,104 @@ def test_gaussian_fallback_is_counted_not_fatal():
     assert len(pattern) == 6
     assert np.all(window.contains(pattern.coords[:, 0], pattern.coords[:, 1]))
     assert diag.gaussian_fallbacks == 5
+
+
+# the two oracle checks above, on the scalar loop that runs when the C sampler cannot load
+@pytest.mark.parametrize("origin", BATTERY_ORIGINS)
+@pytest.mark.parametrize("p, sigma", BATTERY_PARAMS)
+def test_scalar_simulation_is_byte_equal_to_array_loop(p, sigma, origin, scalar_sampler):
+    test_simulation_is_byte_equal_to_array_loop(p, sigma, origin, scalar_sampler)
+
+
+def test_scalar_gaussian_fallback_is_counted_not_fatal(scalar_sampler):
+    test_gaussian_fallback_is_counted_not_fatal(scalar_sampler)
+
+
+SAMPLER_WINDOWS = [(0.0, 0.0, 3000.0, 3000.0), (1e6 + 0.1, 1e6 + 0.1, 1e6 + 50.1, 1e6 + 80.1),
+                   (-3e7, -3e7, -3e7 + 100.0, -3e7 + 100.0)]
+
+
+def sample_grid(window):
+    """Coordinates bytes and fallback counts over p x sigma x seed x n."""
+    out = []
+    for p, sigma, seed, n in itertools.product([0.0, 0.5, 0.7, 0.9, 1.0],
+                                               [1e-9, 1.0, 60.0, 1e3, 1e4], range(8),
+                                               [1, 2, 30, 300]):
+        diag = SimulationDiagnostics()
+        pattern = simulate_reproduction(window, n, ReproductionParams(p, sigma), seed, diag)
+        out.append((pattern.coords.tobytes(), diag.gaussian_fallbacks))
+    return out
+
+
+@pytest.mark.parametrize("bounds", SAMPLER_WINDOWS)
+def test_compiled_sampler_is_byte_equal_to_scalar_loop(bounds, compiled_sampler, monkeypatch):
+    window = Window(*bounds)
+    compiled = sample_grid(window)
+    monkeypatch.setattr(reproduction, "_sampler", False)
+    scalar = sample_grid(window)
+    assert len(compiled) == 800
+    for k, (c, s) in enumerate(zip(compiled, scalar)):
+        assert c == s, k
+    if bounds[2] - bounds[0] <= 100.0:  # the large window never reaches the attempt cap
+        assert sum(f for _, f in scalar) > 0
+
+
+def test_second_process_reuses_the_cached_sampler(compiled_sampler):  # built by the fixture
+    env = {**os.environ, "PATH": "", "PYTHONPATH": str(Path(reproduction.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", "from palmpat import reproduction as r; "
+         "assert r.load_sampler() is not None"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr  # with no PATH, no compiler could have run
+    assert done.stderr == ""
+
+
+def test_sampler_source_ships_as_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(reproduction.__file__).parents[2] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    assert config["tool"]["setuptools"]["package-data"]["palmpat"] == ["_sampler.c"]
+    assert Path(reproduction.__file__).with_name("_sampler.c").is_file()
+
+
+def sampler_log(caplog):
+    return [r for r in caplog.records if "compiled sampler unavailable" in r.getMessage()]
+
+
+def test_failed_compile_logs_one_line_and_gives_the_same_bytes(compiled_sampler, tmp_path,
+                                                               monkeypatch, caplog):
+    window = Window(0.0, 0.0, 100.0, 60.0)
+    params = ReproductionParams(0.7, 5.0)
+    expected = [simulate_reproduction(window, 200, params, seed).coords for seed in (1, 2)]
+    monkeypatch.setattr(reproduction, "_sampler", None)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # an empty cache: must compile
+    monkeypatch.setenv("PATH", "")  # and cc cannot be found
+    with caplog.at_level(logging.WARNING, logger="palmpat.reproduction"):
+        got = [simulate_reproduction(window, 200, params, seed).coords for seed in (1, 2)]
+    assert len(caplog.records) == 1 and sampler_log(caplog)
+    assert reproduction._sampler is False
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+
+def test_shared_cache_directory_is_refused(tmp_path, monkeypatch, caplog):
+    cache = tmp_path / f"palmpat-{os.getuid()}"
+    cache.mkdir()
+    cache.chmod(0o777)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(reproduction, "_sampler", None)
+    calls = []
+    scalar = reproduction._scalar_reproduction
+    monkeypatch.setattr(reproduction, "_scalar_reproduction",
+                        lambda *args: calls.append(args) or scalar(*args))
+    window = Window(0.0, 0.0, 100.0, 60.0)
+    with caplog.at_level(logging.WARNING, logger="palmpat.reproduction"):
+        pattern = simulate_reproduction(window, 30, ReproductionParams(0.7, 5.0), 4)
+    assert reproduction.load_sampler() is None
+    assert len(calls) == 1
+    [record] = sampler_log(caplog)
+    assert "not a directory private to this user" in record.getMessage()
+    assert list(cache.iterdir()) == []
+    assert pattern.coords.tobytes() == brute_reproduction(window, 30, 0.7, 5.0, 4)[0].tobytes()
 
 
 def test_p_zero_patterns_pass_csr_test_at_nominal_rate():

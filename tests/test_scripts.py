@@ -1,6 +1,8 @@
 """Smoke tests: each experiment script runs to completion on tiny inputs
 and writes the files it promises."""
 import hashlib
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -85,3 +87,21 @@ def test_recovery_experiment_writes_one_row_per_seed(tmp_path):
     assert rows[0] == "obs_seed,fit_seed,p_star,sigma_star,d_min,hit,seconds"
     assert len(rows) == 3
     assert "recovered within one step in" in stdout
+    record = json.loads(out.with_suffix(".json").read_text())
+    assert list(record) == ["revision", "wall_s", "seeds", "hits", "wilson_95", "per_seed"]
+    assert record["seeds"] == 2 and 0 <= record["hits"] <= 2 and record["wall_s"] >= 0
+    assert [list(seed) for seed in record["per_seed"]] == [
+        ["obs_seed", "p_star", "sigma_star", "hit"]] * 2
+    assert [seed["obs_seed"] for seed in record["per_seed"]] == [100, 101]
+    assert record["hits"] == sum(seed["hit"] for seed in record["per_seed"])
+    assert record["revision"]
+
+
+def test_wilson_interval():
+    spec = importlib.util.spec_from_file_location("recovery_experiment",
+                                                  SCRIPTS / "recovery_experiment.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.wilson(8, 10) == pytest.approx((0.4902, 0.9433), abs=1e-4)
+    lo, hi = module.wilson(0, 10)
+    assert lo == pytest.approx(0.0, abs=1e-12) and hi == pytest.approx(0.2775, abs=1e-4)
