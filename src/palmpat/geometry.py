@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -89,6 +90,12 @@ class PointPattern:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
+    @cached_property
+    def tree(self) -> cKDTree:
+        """The k-d tree on ``coords``, built on first use and shared by every
+        statistic computed on this pattern."""
+        return cKDTree(self.coords)
+
 
 class Box(NamedTuple):
     """One unvalidated row of an (n, 5) box array; the library checks boxes
@@ -128,6 +135,6 @@ def nearest_neighbor_distances(pattern: PointPattern, k: int = 1) -> np.ndarray:
         raise InvalidInputError(f"nearest-neighbor query needs at least 2 points, got {n}")
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"k must be in [1, {n - 1}], got {k}")
-    dist, _ = cKDTree(pattern.coords).query(pattern.coords, k=k + 1)
+    dist, _ = pattern.tree.query(pattern.coords, k=k + 1)
     # Column 0 is the point itself, or a tied zero among coincident points.
     return np.ascontiguousarray(dist[:, 1:])

@@ -20,10 +20,11 @@ grid search scans p in the outer loop and sigma in the inner loop and
 keeps the first minimum, so ties resolve to the earliest candidate in scan
 order.
 
-Randomness layout: substream (0,) seeds one reference-point stream that
+Randomness layout: substream (0,) seeds one reference-point set that
 the observed F curve and every trial's simulated F curve share, so the
 reference-sampling noise cancels out of the |f - f_sim| comparison
-instead of drowning the between-cell signal; trial t of cell (ip, is)
+instead of drowning the between-cell signal (the set is drawn once, in
+k-d tree order; see ``ripley``); trial t of cell (ip, is)
 uses substream (1, ip, is, t) for its simulation. Results are
 bit-identical for a fixed master seed regardless of worker count or
 execution order.
@@ -39,8 +40,9 @@ import numpy as np
 from ._pool import map_tasks
 from .errors import InvalidInputError
 from .geometry import PointPattern, Window
-from .ripley import DistanceGrid, f_function, g_function
-from .seeding import DEFAULT_SEED, rng_from_seed, substream_seed
+from .ripley import (DistanceGrid, _empty_space, _resolve_n_ref, _shared_references,
+                     g_function)
+from .seeding import DEFAULT_SEED, check_seed, rng_from_seed, substream_seed
 
 logger = logging.getLogger(__name__)
 
@@ -101,10 +103,11 @@ def trapezoid_integrate(xs, ys) -> float:
 
 def load_sampler():
     """The compiled ``_sampler.c``, built with ``cc`` into a private cache on
-    first use and loaded once per process; None when it cannot be (logged once)."""
+    first use and loaded once per process; None when it cannot be (logged once).
+    A build deletes the cache's other libraries, never a build in progress."""
     global _sampler
     if _sampler is None:
-        import ctypes, hashlib, stat, subprocess, tempfile
+        import contextlib, ctypes, hashlib, stat, subprocess, tempfile
         from pathlib import Path
         try:
             src = Path(__file__).with_name("_sampler.c")
@@ -122,6 +125,9 @@ def load_sampler():
                 subprocess.run(["cc", *flags, src, npyrandom, "-lm", "-o", tmp],
                                check=True, capture_output=True)
                 os.replace(tmp, lib)
+                for stale in set(cache.glob("sampler-*.so")) - {lib}:  # not *.tmp
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
             fn = ctypes.CDLL(str(lib)).sample_reproduction
             fn.restype = ctypes.c_int64
             fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_double] * 6,
@@ -208,11 +214,14 @@ def discrepancy(
     n_ref: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> float:
-    """Integrated |G - G_sim| + |F - F_sim| over the grid the observed curves used."""
+    """Integrated |G - G_sim| + |F - F_sim| over the grid the observed curves used;
+    F_sim is ``f_function``'s curve, from the reference set a fit shares."""
     if not (np.shape(observed_g) == np.shape(observed_f) == (len(grid),)):
         raise InvalidInputError("observed curves must be evaluated on the given grid")
     g_sim = g_function(simulated, grid)
-    f_sim = f_function(simulated, grid, n_ref, seed)
+    n_ref = _resolve_n_ref(len(simulated), n_ref)
+    refs = _shared_references(simulated.window, n_ref, check_seed(seed))
+    f_sim = _empty_space(simulated, refs, grid)
     return (
         trapezoid_integrate(grid.values, np.abs(observed_g - g_sim))
         + trapezoid_integrate(grid.values, np.abs(observed_f - f_sim))
@@ -244,8 +253,9 @@ def fit(
     (cells,), ``d`` is (cells, n_trials), and ``d_total`` is the Python
     ``sum`` of each row of ``d`` in trial order. ``best`` is the first
     minimum of ``d_total`` in scan order, so a tie goes to the earlier cell.
-    ``n_ref`` is passed to every F evaluation as given (None: the
-    ``f_function`` default, which depends only on the shared point count).
+    ``n_ref`` is the F reference-point count (None: the ``f_function``
+    default, which depends only on the shared point count); the observed F
+    and every trial's F use one set, drawn once before the workers fork.
     """
     sigmas = list(sigma_candidates)
     cells = [ReproductionParams(float(p), float(s)) for p in p_candidates for s in sigmas]
@@ -260,8 +270,9 @@ def fit(
         grid = DistanceGrid.default(observed.window)
 
     f_seed = substream_seed(seed, 0)
+    n_ref = _resolve_n_ref(n, n_ref)
     obs_g = g_function(observed, grid)
-    obs_f = f_function(observed, grid, n_ref, f_seed)
+    obs_f = _empty_space(observed, _shared_references(observed.window, n_ref, f_seed), grid)
 
     tasks = [
         (observed.window, n, params, grid, n_ref, obs_g, obs_f,

@@ -12,12 +12,17 @@ are always compared with the same estimator:
   points dropped uniformly in the window. No edge correction is applied.
 * F draws its reference points from a seeded stream, generated up front
   in one call (``rng.uniform(window.lo, window.hi, (n_ref, 2))``), so the
-  curve is bit-reproducible for a fixed seed.
+  curve is bit-reproducible for a fixed seed; ``n_ref`` defaults to
+  max(1000, n). A fit draws one set for all its trials and puts it in k-d
+  tree order (``_shared_references``); F sorts the reference distances, so
+  their order cannot change a byte.
+* Every statistic of a pattern queries its one k-d tree, ``pattern.tree``.
 * J is left undefined (NaN) wherever F(d) == 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -90,22 +95,45 @@ def f_function(
     n_ref: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> np.ndarray:
-    """Empty-space function from seeded uniform reference points.
+    """Empty-space function from seeded uniform reference points, drawn
+    afresh on every call (see the module docstring)."""
+    if len(pattern) == 0:
+        raise InvalidInputError("F function needs a nonempty pattern")
+    refs = _reference_points(pattern.window, _resolve_n_ref(len(pattern), n_ref), seed)
+    return _empty_space(pattern, refs, grid)
+
+
+def _resolve_n_ref(n: int, n_ref: int | None) -> int:
+    """The reference-point count F uses for an n-point pattern.
 
     ``n_ref`` defaults to max(1000, n) so that the Monte Carlo noise in F
     stays well below the discrepancies it is used to measure.
     """
-    n = len(pattern)
-    if n == 0:
-        raise InvalidInputError("F function needs a nonempty pattern")
     if n_ref is None:
-        n_ref = max(1000, n)
+        return max(1000, n)
     if n_ref < 1:
         raise InvalidInputError(f"n_ref must be positive, got {n_ref}")
-    rng = rng_from_seed(seed)
-    refs = rng.uniform(pattern.window.lo, pattern.window.hi, size=(n_ref, 2))
-    dist, _ = cKDTree(pattern.coords).query(refs, k=1)
-    dist.sort()
+    return n_ref
+
+
+def _reference_points(window: Window, n_ref: int, seed: int) -> np.ndarray:
+    return rng_from_seed(seed).uniform(window.lo, window.hi, size=(n_ref, 2))
+
+
+@lru_cache(maxsize=1)
+def _shared_references(window: Window, n_ref: int, seed: int) -> np.ndarray:
+    """The reference points ``f_function`` would draw, in k-d tree order and
+    read-only, kept until a call with other arguments (one set per fit)."""
+    refs = _reference_points(window, n_ref, seed)
+    refs = refs[cKDTree(refs, leafsize=4).indices]
+    refs.setflags(write=False)
+    return refs
+
+
+def _empty_space(pattern: PointPattern, refs: np.ndarray, grid: DistanceGrid):
+    """F over ``grid``: the fraction of ``refs`` strictly closer than d to a point."""
+    dist, _ = pattern.tree.query(refs, k=1)
+    dist.sort()  # so the order of refs cannot change a byte
     return _empirical_cdf(dist, grid)
 
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive (full distance matrices, quadratic
 loops, per-segment antiderivatives) and shares no code with the package
-implementations it checks. The one exception is ``brute_fit``, which checks
-only the grid search's bookkeeping and so builds on the library's own
-simulator, curves and discrepancy.
+implementations it checks. The one exception is ``brute_fit``, which builds
+on the library's own simulator, G and F curves and trapezoid rule: it checks
+the grid search's bookkeeping, and its F draws fresh reference points for
+every trial where ``fit`` shares one tree-ordered set.
 """
 import math
 
@@ -83,9 +84,11 @@ def brute_fit(observed, p_candidates, sigma_candidates, n_trials, grid=None, n_r
               seed=0):
     """The (p, sigma) grid search as a serial nested loop: every candidate
     validated up front, a cursor over the flat trial results, and the first
-    strict minimum of the cell totals in scan order (p outer, sigma inner)."""
-    from palmpat import (DistanceGrid, ReproductionParams, discrepancy, f_function,
-                         g_function, simulate_reproduction)
+    strict minimum of the cell totals in scan order (p outer, sigma inner).
+    Each trial's discrepancy is computed from its definition, with F on a
+    fresh draw from the reference seed."""
+    from palmpat import (DistanceGrid, ReproductionParams, f_function, g_function,
+                         simulate_reproduction, trapezoid_integrate)
     from palmpat.reproduction import FitResult
     from palmpat.seeding import substream_seed
 
@@ -109,7 +112,10 @@ def brute_fit(observed, p_candidates, sigma_candidates, n_trials, grid=None, n_r
             for t in range(n_trials):
                 simulated = simulate_reproduction(observed.window, n, ReproductionParams(p, s),
                                                   substream_seed(seed, 1, ip, is_, t))
-                d_values.append(discrepancy(obs_g, obs_f, simulated, grid, n_ref, f_seed))
+                g_sim = g_function(simulated, grid)
+                f_sim = f_function(simulated, grid, n_ref, f_seed)
+                d_values.append(trapezoid_integrate(grid.values, np.abs(obs_g - g_sim))
+                                + trapezoid_integrate(grid.values, np.abs(obs_f - f_sim)))
     cell_p, cell_sigma, rows, totals = [], [], [], []
     best, d_min, cursor = None, math.inf, 0
     for p in ps:

@@ -18,6 +18,7 @@ from palmpat import (
     DistanceGrid,
     FitResult,
     InvalidInputError,
+    PointPattern,
     ReproductionParams,
     SimulationDiagnostics,
     Window,
@@ -40,6 +41,7 @@ from oracles import (
 )
 
 reproduction = importlib.import_module("palmpat.reproduction")
+ripley = importlib.import_module("palmpat.ripley")
 
 
 def compiled_sampler_missing():
@@ -264,6 +266,23 @@ def test_failed_compile_logs_one_line_and_gives_the_same_bytes(compiled_sampler,
     assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
 
 
+def test_a_build_removes_stale_libraries_but_not_builds_in_progress(compiled_sampler,
+                                                                  tmp_path, monkeypatch):
+    cache = tmp_path / f"palmpat-{os.getuid()}"
+    cache.mkdir(mode=0o700)
+    (cache / "sampler-deadbeef.so").write_bytes(b"stale")
+    (cache / "sampler-cafe.so.4242.tmp").write_bytes(b"another process is building")
+    monkeypatch.setattr(reproduction, "_sampler", None)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # a cache without this build
+    window = Window(0.0, 0.0, 100.0, 60.0)
+    pattern = simulate_reproduction(window, 200, ReproductionParams(0.7, 5.0), 1)
+    assert reproduction._sampler
+    [lib] = [p.name for p in cache.glob("*.so")]  # the one just built
+    assert lib != "sampler-deadbeef.so"
+    assert sorted(p.name for p in cache.iterdir()) == sorted([lib, "sampler-cafe.so.4242.tmp"])
+    assert pattern.coords.tobytes() == brute_reproduction(window, 200, 0.7, 5.0, 1)[0].tobytes()
+
+
 def test_shared_cache_directory_is_refused(tmp_path, monkeypatch, caplog):
     cache = tmp_path / f"palmpat-{os.getuid()}"
     cache.mkdir()
@@ -338,21 +357,33 @@ def test_constant_offset_integrates_to_rectangle_area():
     assert area == pytest.approx(1.0, rel=1e-12)
 
 
-def test_discrepancy_equals_stepwise_pipeline():
-    window = Window(0.0, 0.0, 100.0, 100.0)
-    observed = simulate_csr(window, 60, seed=2)
-    simulated = simulate_reproduction(window, 60, ReproductionParams(0.5, 5.0), seed=3)
+@pytest.mark.parametrize("window, n, n_ref, coincident", [
+    (Window(0.0, 0.0, 100.0, 100.0), 60, 400, False),
+    (Window(0.0, 0.0, 100.0, 100.0), 60, None, False),
+    (Window(-5.0, 3.0, 400.0, 90.0), 2, None, False),
+    (Window(-5.0, 3.0, 400.0, 90.0), 2, 7, False),
+    (Window(0.0, 0.0, 10.0, 10.0), 20, 300, True),
+    (Window(0.0, 0.0, 3000.0, 3000.0), 500, 2000, False),
+], ids=["square-400", "square-default", "strip-n2-default", "strip-n2-7", "coincident-300",
+        "site-2000"])
+def test_discrepancy_equals_stepwise_pipeline(window, n, n_ref, coincident):
+    observed = simulate_csr(window, n, seed=2)
+    if coincident:
+        simulated = PointPattern(window, [[3.0, 7.0]] * n)
+    else:
+        simulated = simulate_reproduction(window, n, ReproductionParams(0.5, 5.0), seed=3)
     grid = DistanceGrid.default(window, 25)
     obs_g = g_function(observed, grid)
-    obs_f = f_function(observed, grid, 400, seed=4)
-    direct = discrepancy(obs_g, obs_f, simulated, grid, 400, seed=5)
+    obs_f = f_function(observed, grid, n_ref, seed=4)
+    # the second call reuses the shared, tree-ordered reference set of the first
+    direct = [discrepancy(obs_g, obs_f, simulated, grid, n_ref, seed=5) for _ in range(2)]
     g_s = g_function(simulated, grid)
-    f_s = f_function(simulated, grid, 400, seed=5)
+    f_s = f_function(simulated, grid, n_ref, seed=5)  # a fresh draw
     stepwise = (
         trapezoid_integrate(grid.values, np.abs(obs_g - g_s))
         + trapezoid_integrate(grid.values, np.abs(obs_f - f_s))
     )
-    assert direct == stepwise
+    assert direct == [stepwise, stepwise]
 
 
 def test_discrepancy_rejects_foreign_grid():
@@ -461,6 +492,21 @@ def test_fit_equals_nested_loop_oracle(ps, sigmas, n_trials, n_ref, workers, mon
     # candidates may be any iterable, generators included
     assert_same_fit(fit(observed, (p for p in ps), iter(sigmas), n_trials, grid, n_ref,
                         seed=11), expected)
+
+
+def test_fit_draws_and_orders_its_reference_set_once(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
+    ripley._shared_references.cache_clear()
+    draws, trees = [], []
+    draw, tree = ripley._reference_points, ripley.cKDTree
+    monkeypatch.setattr(ripley, "_reference_points", lambda *a: draws.append(a) or draw(*a))
+    monkeypatch.setattr(ripley, "cKDTree", lambda *a, **kw: trees.append(kw) or tree(*a, **kw))
+    window = Window(0.0, 0.0, 100.0, 100.0)
+    observed = simulate_csr(window, 30, seed=2)
+    args = (observed, [0.3, 0.6], [5.0, 9.0], 3, DistanceGrid.default(window, 20), 200)
+    result = fit(*args, seed=4)
+    assert len(draws) == 1 and trees == [{"leafsize": 4}]
+    assert_same_fit(result, brute_fit(*args, seed=4))
 
 
 def test_fit_tie_goes_to_first_cell_like_the_oracle(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from palmpat import (
     DistanceGrid,
@@ -16,6 +17,7 @@ from palmpat import (
     nn_stats,
     simulate_csr,
 )
+from palmpat import geometry, ripley
 from palmpat.ripley import statistic_curve
 from oracles import (
     brute_f_values,
@@ -300,3 +302,37 @@ def test_coincident_nn_stats_are_zero(k):
     stats = nn_stats(COINCIDENT, k=k, bins=4)
     assert (stats.mean, stats.median, stats.std) == (0.0, 0.0, 0.0)
     assert stats.counts.sum() == 20
+
+
+# ---------------------------------------------------------------- shared k-d trees
+
+
+def test_g_f_j_and_nn_stats_of_one_pattern_build_one_tree(monkeypatch):
+    built = []
+
+    def counting(data, *args, **kwargs):
+        built.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cKDTree", counting)
+    monkeypatch.setattr(ripley, "cKDTree", counting)
+    window = Window(0.0, 0.0, 100.0, 100.0)
+    p = simulate_csr(window, 40, seed=3)
+    grid = DistanceGrid.default(window, 20)
+    g_function(p, grid)
+    f_function(p, grid, 300, seed=1)
+    j_function(p, grid, 300, seed=2)
+    nn_stats(p, k=3)
+    assert built == [40]
+
+
+def test_shared_references_are_the_fresh_draw_in_tree_order_and_read_only():
+    window = Window(-5.0, 3.0, 400.0, 90.0)
+    refs = ripley._shared_references(window, 500, 9)
+    fresh = uniform_reference_stream(window, 500, 9)
+    assert not refs.flags.writeable
+    with pytest.raises(ValueError):
+        refs[0, 0] = 0.0
+    assert refs.tobytes() != fresh.tobytes()
+    assert sorted(map(tuple, refs.tolist())) == sorted(map(tuple, fresh.tolist()))
+    assert ripley._shared_references(window, 500, 9) is refs
