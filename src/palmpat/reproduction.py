@@ -23,9 +23,9 @@ order.
 Randomness layout: substream (0,) seeds one reference-point set that
 the observed F curve and every trial's simulated F curve share, so the
 reference-sampling noise cancels out of the |f - f_sim| comparison
-instead of drowning the between-cell signal (the set is drawn once, in
-k-d tree order; see ``ripley``); trial t of cell (ip, is)
-uses substream (1, ip, is, t) for its simulation. Results are
+instead of drowning the between-cell signal (``f_function`` keeps the set
+it drew last, so a fit draws it once; see ``ripley``); trial t of cell
+(ip, is) uses substream (1, ip, is, t) for its simulation. Results are
 bit-identical for a fixed master seed regardless of worker count or
 execution order.
 """
@@ -40,9 +40,8 @@ import numpy as np
 from ._pool import map_tasks
 from .errors import InvalidInputError
 from .geometry import PointPattern, Window
-from .ripley import (DistanceGrid, _empty_space, _resolve_n_ref, _shared_references,
-                     g_function)
-from .seeding import DEFAULT_SEED, check_seed, rng_from_seed, substream_seed
+from .ripley import DistanceGrid, f_function, g_function
+from .seeding import DEFAULT_SEED, rng_from_seed, substream_seed
 
 logger = logging.getLogger(__name__)
 
@@ -215,13 +214,11 @@ def discrepancy(
     seed: int = DEFAULT_SEED,
 ) -> float:
     """Integrated |G - G_sim| + |F - F_sim| over the grid the observed curves used;
-    F_sim is ``f_function``'s curve, from the reference set a fit shares."""
+    F_sim is ``f_function(simulated, grid, n_ref, seed)``."""
     if not (np.shape(observed_g) == np.shape(observed_f) == (len(grid),)):
         raise InvalidInputError("observed curves must be evaluated on the given grid")
     g_sim = g_function(simulated, grid)
-    n_ref = _resolve_n_ref(len(simulated), n_ref)
-    refs = _shared_references(simulated.window, n_ref, check_seed(seed))
-    f_sim = _empty_space(simulated, refs, grid)
+    f_sim = f_function(simulated, grid, n_ref, seed)
     return (
         trapezoid_integrate(grid.values, np.abs(observed_g - g_sim))
         + trapezoid_integrate(grid.values, np.abs(observed_f - f_sim))
@@ -255,7 +252,8 @@ def fit(
     minimum of ``d_total`` in scan order, so a tie goes to the earlier cell.
     ``n_ref`` is the F reference-point count (None: the ``f_function``
     default, which depends only on the shared point count); the observed F
-    and every trial's F use one set, drawn once before the workers fork.
+    fills ``f_function``'s reference set before the workers fork, and every
+    trial's F reads it.
     """
     sigmas = list(sigma_candidates)
     cells = [ReproductionParams(float(p), float(s)) for p in p_candidates for s in sigmas]
@@ -270,9 +268,8 @@ def fit(
         grid = DistanceGrid.default(observed.window)
 
     f_seed = substream_seed(seed, 0)
-    n_ref = _resolve_n_ref(n, n_ref)
     obs_g = g_function(observed, grid)
-    obs_f = _empty_space(observed, _shared_references(observed.window, n_ref, f_seed), grid)
+    obs_f = f_function(observed, grid, n_ref, f_seed)
 
     tasks = [
         (observed.window, n, params, grid, n_ref, obs_g, obs_f,

@@ -13,8 +13,9 @@ are always compared with the same estimator:
 * F draws its reference points from a seeded stream, generated up front
   in one call (``rng.uniform(window.lo, window.hi, (n_ref, 2))``), so the
   curve is bit-reproducible for a fixed seed; ``n_ref`` defaults to
-  max(1000, n). A fit draws one set for all its trials and puts it in k-d
-  tree order (``_shared_references``); F sorts the reference distances, so
+  max(1000, n). The last set drawn is kept (``_references``), so every F of
+  a fit reads one set, ordered in 16 horizontal strips of the window and by
+  x within each for faster queries; F sorts the reference distances, so
   their order cannot change a byte.
 * Every statistic of a pattern queries its one k-d tree, ``pattern.tree``.
 * J is left undefined (NaN) wherever F(d) == 1.
@@ -25,11 +26,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
 from .geometry import PointPattern, Window, nearest_neighbor_distances
-from .seeding import DEFAULT_SEED, rng_from_seed
+from .seeding import DEFAULT_SEED, check_seed, rng_from_seed
 
 DEFAULT_GRID_STEPS = 100
 STATISTICS = ("G", "F", "J")
@@ -95,46 +95,33 @@ def f_function(
     n_ref: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> np.ndarray:
-    """Empty-space function from seeded uniform reference points, drawn
-    afresh on every call (see the module docstring)."""
-    if len(pattern) == 0:
-        raise InvalidInputError("F function needs a nonempty pattern")
-    refs = _reference_points(pattern.window, _resolve_n_ref(len(pattern), n_ref), seed)
-    return _empty_space(pattern, refs, grid)
-
-
-def _resolve_n_ref(n: int, n_ref: int | None) -> int:
-    """The reference-point count F uses for an n-point pattern.
+    """Fraction of seeded uniform reference points strictly closer than d to
+    a point of the pattern (see the module docstring).
 
     ``n_ref`` defaults to max(1000, n) so that the Monte Carlo noise in F
     stays well below the discrepancies it is used to measure.
     """
+    if len(pattern) == 0:
+        raise InvalidInputError("F function needs a nonempty pattern")
+    seed = check_seed(seed)  # before the cache, which cannot hash every bad seed
     if n_ref is None:
-        return max(1000, n)
-    if n_ref < 1:
-        raise InvalidInputError(f"n_ref must be positive, got {n_ref}")
-    return n_ref
-
-
-def _reference_points(window: Window, n_ref: int, seed: int) -> np.ndarray:
-    return rng_from_seed(seed).uniform(window.lo, window.hi, size=(n_ref, 2))
+        n_ref = max(1000, len(pattern))
+    if not isinstance(n_ref, (int, np.integer)) or n_ref < 1:
+        raise InvalidInputError(f"n_ref must be a positive integer, got {n_ref!r}")
+    dist, _ = pattern.tree.query(_references(pattern.window, n_ref, seed), k=1)
+    dist.sort()  # so the order of the references cannot change a byte
+    return _empirical_cdf(dist, grid)
 
 
 @lru_cache(maxsize=1)
-def _shared_references(window: Window, n_ref: int, seed: int) -> np.ndarray:
-    """The reference points ``f_function`` would draw, in k-d tree order and
-    read-only, kept until a call with other arguments (one set per fit)."""
-    refs = _reference_points(window, n_ref, seed)
-    refs = refs[cKDTree(refs, leafsize=4).indices]
+def _references(window: Window, n_ref: int, seed: int) -> np.ndarray:
+    """The seeded draw, read-only, in strips of y and by x within each (one
+    sort key that cannot overflow), kept until a call with other arguments."""
+    refs = rng_from_seed(seed).uniform(window.lo, window.hi, size=(n_ref, 2))
+    strip = np.floor((refs[:, 1] - window.y_min) / window.height * 16)
+    refs = refs[np.argsort(strip + (refs[:, 0] - window.x_min) / window.width)]
     refs.setflags(write=False)
     return refs
-
-
-def _empty_space(pattern: PointPattern, refs: np.ndarray, grid: DistanceGrid):
-    """F over ``grid``: the fraction of ``refs`` strictly closer than d to a point."""
-    dist, _ = pattern.tree.query(refs, k=1)
-    dist.sort()  # so the order of refs cannot change a byte
-    return _empirical_cdf(dist, grid)
 
 
 def j_function(

@@ -3,9 +3,9 @@
 Everything here is deliberately naive (full distance matrices, quadratic
 loops, per-segment antiderivatives) and shares no code with the package
 implementations it checks. The one exception is ``brute_fit``, which builds
-on the library's own simulator, G and F curves and trapezoid rule: it checks
-the grid search's bookkeeping, and its F draws fresh reference points for
-every trial where ``fit`` shares one tree-ordered set.
+on the library's own simulator, G curve and trapezoid rule to check the grid
+search's bookkeeping; its F curves are ``brute_f_values`` on the documented
+reference stream.
 """
 import math
 
@@ -85,10 +85,10 @@ def brute_fit(observed, p_candidates, sigma_candidates, n_trials, grid=None, n_r
     """The (p, sigma) grid search as a serial nested loop: every candidate
     validated up front, a cursor over the flat trial results, and the first
     strict minimum of the cell totals in scan order (p outer, sigma inner).
-    Each trial's discrepancy is computed from its definition, with F on a
-    fresh draw from the reference seed."""
-    from palmpat import (DistanceGrid, ReproductionParams, f_function, g_function,
-                         simulate_reproduction, trapezoid_integrate)
+    Each trial's discrepancy is computed from its definition, with F counted
+    directly on the documented draw from the reference seed."""
+    from palmpat import (DistanceGrid, ReproductionParams, g_function, simulate_reproduction,
+                         trapezoid_integrate)
     from palmpat.reproduction import FitResult
     from palmpat.seeding import substream_seed
 
@@ -103,9 +103,9 @@ def brute_fit(observed, p_candidates, sigma_candidates, n_trials, grid=None, n_r
         grid = DistanceGrid.default(observed.window)
     if n_ref is None:
         n_ref = max(1000, n)
-    f_seed = substream_seed(seed, 0)
+    refs = uniform_reference_stream(observed.window, n_ref, substream_seed(seed, 0))
     obs_g = g_function(observed, grid)
-    obs_f = f_function(observed, grid, n_ref, f_seed)
+    obs_f = brute_f_values(observed.coords, refs, grid.values)
     d_values = []
     for ip, p in enumerate(ps):
         for is_, s in enumerate(sigmas):
@@ -113,7 +113,7 @@ def brute_fit(observed, p_candidates, sigma_candidates, n_trials, grid=None, n_r
                 simulated = simulate_reproduction(observed.window, n, ReproductionParams(p, s),
                                                   substream_seed(seed, 1, ip, is_, t))
                 g_sim = g_function(simulated, grid)
-                f_sim = f_function(simulated, grid, n_ref, f_seed)
+                f_sim = brute_f_values(simulated.coords, refs, grid.values)
                 d_values.append(trapezoid_integrate(grid.values, np.abs(obs_g - g_sim))
                                 + trapezoid_integrate(grid.values, np.abs(obs_f - f_sim)))
     cell_p, cell_sigma, rows, totals = [], [], [], []

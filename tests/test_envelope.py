@@ -57,13 +57,15 @@ def test_csr_rejects_nonpositive_count():
 # ---------------------------------------------------------------- envelope mechanics
 
 
-def test_envelope_deterministic_and_worker_invariant(monkeypatch):
+@pytest.mark.parametrize("statistic", ["G", "F", "J"])
+def test_envelope_deterministic_and_worker_invariant(statistic, monkeypatch):
+    # F and J: the parent's cached reference set crosses the fork into every worker
     p = simulate_csr(WINDOW, 40, seed=2)
     grid = DistanceGrid.default(WINDOW, 25)
     results = []
     for w in (1, 1, 2):
         monkeypatch.setenv("PALMPAT_THREADS", str(w))
-        results.append(envelope(p, grid, "G", m=19, seed=5))
+        results.append(envelope(p, grid, statistic, m=19, seed=5, n_ref=200))
     for other in results[1:]:
         np.testing.assert_array_equal(results[0].observed, other.observed)
         np.testing.assert_array_equal(results[0].sim_mean, other.sim_mean)

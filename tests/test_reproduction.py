@@ -397,6 +397,18 @@ def test_discrepancy_rejects_foreign_grid():
         discrepancy(obs_g, obs_f, pattern, other, 100, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, [1]])
+def test_discrepancy_and_fit_reject_a_bad_seed(seed):
+    window = Window(0.0, 0.0, 100.0, 100.0)
+    pattern = simulate_csr(window, 20, seed=1)
+    grid = DistanceGrid.default(window, 20)
+    curves = g_function(pattern, grid), f_function(pattern, grid, 100, seed=1)
+    with pytest.raises(InvalidInputError, match="seed must be"):
+        discrepancy(*curves, pattern, grid, 100, seed)
+    with pytest.raises(InvalidInputError, match="seed must be"):
+        fit(pattern, [0.5], [5.0], 1, grid, 100, seed)
+
+
 # ---------------------------------------------------------------- grid search
 
 
@@ -496,16 +508,13 @@ def test_fit_equals_nested_loop_oracle(ps, sigmas, n_trials, n_ref, workers, mon
 
 def test_fit_draws_and_orders_its_reference_set_once(monkeypatch):
     monkeypatch.setenv("PALMPAT_THREADS", "1")
-    ripley._shared_references.cache_clear()
-    draws, trees = [], []
-    draw, tree = ripley._reference_points, ripley.cKDTree
-    monkeypatch.setattr(ripley, "_reference_points", lambda *a: draws.append(a) or draw(*a))
-    monkeypatch.setattr(ripley, "cKDTree", lambda *a, **kw: trees.append(kw) or tree(*a, **kw))
+    ripley._references.cache_clear()
     window = Window(0.0, 0.0, 100.0, 100.0)
     observed = simulate_csr(window, 30, seed=2)
     args = (observed, [0.3, 0.6], [5.0, 9.0], 3, DistanceGrid.default(window, 20), 200)
     result = fit(*args, seed=4)
-    assert len(draws) == 1 and trees == [{"leafsize": 4}]
+    info = ripley._references.cache_info()
+    assert (info.misses, info.hits) == (1, 4 * 3)  # the observed F, then every trial's
     assert_same_fit(result, brute_fit(*args, seed=4))
 
 

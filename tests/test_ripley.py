@@ -117,6 +117,40 @@ def test_f_matches_direct_count_with_same_reference_stream():
     np.testing.assert_array_equal(fast, brute_f_values(p.coords, refs, grid.values))
 
 
+@pytest.mark.parametrize("window", [
+    Window(0.0, 0.0, 60.0, 40.0),
+    Window(-3.0, 0.0, 1e300, 1.0),
+    Window(0.0, -1e-300, 1.0, 0.0),
+    Window(-5e299, 0.0, 5e299, 1e-300),
+    Window(-8e307, -8e307, 8e307, 8e307),  # 16 times a side overflows
+], ids=["plain", "1e300-wide", "1e-300-high", "both", "1.6e308-square"])
+def test_f_matches_direct_count_in_extreme_windows(window):
+    # the reference sort key must not overflow (a RuntimeWarning fails the suite)
+    p = simulate_csr(window, 40, seed=6)
+    grid = DistanceGrid(np.linspace(0.0, min(window.width, 8.0), 9))
+    fast = f_function(p, grid, 300, seed=8)
+    refs = uniform_reference_stream(window, 300, 8)
+    with np.errstate(over="ignore"):  # the oracle squares distances near 1e300
+        direct = brute_f_values(p.coords, refs, grid.values)
+    np.testing.assert_array_equal(fast, direct)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, [1]])
+@pytest.mark.parametrize("curve", [f_function, j_function])
+def test_f_and_j_reject_a_bad_seed_before_the_reference_cache(curve, seed):
+    p = simulate_csr(Window(0, 0, 10, 10), 20, seed=1)
+    with pytest.raises(InvalidInputError, match="seed must be"):
+        curve(p, DistanceGrid([0.0, 1.0]), 50, seed)
+
+
+@pytest.mark.parametrize("n_ref", [0, 50.0])
+def test_f_rejects_a_bad_reference_count_even_when_its_set_is_cached(n_ref):
+    p = simulate_csr(Window(0, 0, 10, 10), 20, seed=1)
+    f_function(p, DistanceGrid([0.0, 1.0]), 50, seed=3)  # caches (window, 50, 3)
+    with pytest.raises(InvalidInputError, match="n_ref must be a positive integer"):
+        f_function(p, DistanceGrid([0.0, 1.0]), n_ref, seed=3)
+
+
 def test_f_reproducible_and_seed_sensitive():
     w = Window(0, 0, 50, 50)
     p = simulate_csr(w, 30, seed=5)
@@ -315,7 +349,6 @@ def test_g_f_j_and_nn_stats_of_one_pattern_build_one_tree(monkeypatch):
         return cKDTree(data, *args, **kwargs)
 
     monkeypatch.setattr(geometry, "cKDTree", counting)
-    monkeypatch.setattr(ripley, "cKDTree", counting)
     window = Window(0.0, 0.0, 100.0, 100.0)
     p = simulate_csr(window, 40, seed=3)
     grid = DistanceGrid.default(window, 20)
@@ -326,13 +359,18 @@ def test_g_f_j_and_nn_stats_of_one_pattern_build_one_tree(monkeypatch):
     assert built == [40]
 
 
-def test_shared_references_are_the_fresh_draw_in_tree_order_and_read_only():
+def test_references_are_the_fresh_draw_reordered_read_only_and_cached():
     window = Window(-5.0, 3.0, 400.0, 90.0)
-    refs = ripley._shared_references(window, 500, 9)
+    ripley._references.cache_clear()
+    refs = ripley._references(window, 500, 9)
     fresh = uniform_reference_stream(window, 500, 9)
     assert not refs.flags.writeable
     with pytest.raises(ValueError):
         refs[0, 0] = 0.0
     assert refs.tobytes() != fresh.tobytes()
     assert sorted(map(tuple, refs.tolist())) == sorted(map(tuple, fresh.tolist()))
-    assert ripley._shared_references(window, 500, 9) is refs
+    assert ripley._references(window, 500, 9) is refs
+    p = simulate_csr(window, 30, seed=1)
+    f_function(p, DistanceGrid.default(window, 20), 500, seed=9)
+    assert ripley._references(window, 500, 9) is refs
+    assert ripley._references.cache_info().misses == 1
