@@ -18,6 +18,12 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 ENV_WORKERS = "PALMPAT_THREADS"
+MAX_TASKS = 10**6  # per call; each task's seed takes about 11 us before any worker starts
+
+
+def check_task_count(count: int, what: str) -> None:
+    if count > MAX_TASKS:
+        raise InvalidInputError(f"{what} asks for {count} tasks, above the cap of {MAX_TASKS}")
 
 
 def resolve_workers() -> int:

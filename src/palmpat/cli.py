@@ -291,10 +291,10 @@ def _grid(args, window: Window) -> DistanceGrid:
 def cmd_ripley(args) -> int:
     pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     grid = _grid(args, pattern.window)
-    stat = args.stat.upper()
-    curve = statistic_curve(pattern, grid, stat, args.n_ref, args.seed)
+    curve = statistic_curve(pattern, grid, args.stat, args.n_ref, args.seed)
     if args.svg:
-        _emit(args, f"ripley_{args.stat}.svg", write_curve_svg, grid.values, [(stat, curve)])
+        _emit(args, f"ripley_{args.stat}.svg", write_curve_svg, grid.values,
+              [(args.stat.upper(), curve)])
     _emit(args, f"ripley_{args.stat}.csv", write_curve, grid, curve)
     return EXIT_OK
 
@@ -302,7 +302,7 @@ def cmd_ripley(args) -> int:
 def cmd_envelope(args) -> int:
     pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     grid = _grid(args, pattern.window)
-    result = envelope(pattern, grid, args.stat.upper(), args.envelope_m, args.seed, args.n_ref)
+    result = envelope(pattern, grid, args.stat, args.envelope_m, args.seed, args.n_ref)
     if args.svg:
         _emit(args, f"envelope_{args.stat}.svg", write_curve_svg, grid.values,
               [("observed", result.observed), ("sim mean", result.sim_mean)],

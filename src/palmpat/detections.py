@@ -1,6 +1,6 @@
 """Postprocessing for tiled detector output: patch-to-global coordinates,
-duplicate removal across overlapping tiles, and count scoring against
-labeled centers."""
+NMS across overlapping tiles in one pass over the close box pairs, and
+count scoring against labeled centers; ``geometry.finite_rows`` reads input."""
 from __future__ import annotations
 
 import math
@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
-from .geometry import Box, iou
+from .geometry import Box, finite_rows, iou
 
 DEFAULT_PATCH_SIZE = 800
 DEFAULT_STRIDE = 400
@@ -38,18 +38,6 @@ class TileLayout:
             raise InvalidInputError(
                 f"stride must be in (0, patch_size={self.patch_size}], got {self.stride}"
             )
-
-
-def _rows(rows, width: int, name: str) -> np.ndarray:
-    """``rows`` as an (n, width) float array of finite values."""
-    try:
-        arr = np.asarray(rows, dtype=float)
-        arr = arr.reshape(0, width) if arr.size == 0 else arr
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] != width or not np.isfinite(arr).all():
-        raise InvalidInputError(f"{name} must be an (n, {width}) array of finite values")
-    return arr
 
 
 def _raise_first(checks) -> None:
@@ -83,7 +71,7 @@ def to_global(layout: TileLayout, detections) -> np.ndarray:
     before any row is checked for nonnegative tile indices and the patch
     extent; the first bad row raises.
     """
-    rows = _rows(detections, 7, "detections")
+    rows = finite_rows(detections, 7, "detections")
     tiles, local = rows[:, :2], rows[:, 2:]
     _raise_first([
         ((tiles != np.floor(tiles)).any(axis=1),
@@ -115,11 +103,12 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> np.ndarray
     never suppress. Two boxes intersect only if their centres lie within
     the largest box extent of each other in every axis, so one k-d tree
     pair query finds every candidate pair, and ``geometry.iou`` scores them
-    all at once. The kept list is therefore exactly that of comparing each
-    candidate with every kept box, at a cost of about O(n log n +
-    intersecting pairs) instead of O(n * kept).
+    all at once. One pass over the close pairs, by their first-visited box,
+    settles each box before the pairs it starts, so the kept list is exactly
+    that of comparing each candidate with every kept box, at a cost of about
+    O(n log n + intersecting pairs) instead of O(n * kept).
     """
-    boxes = _rows(boxes, 5, "boxes")
+    boxes = finite_rows(boxes, 5, "boxes")
     _raise_first(_box_checks(boxes))
     if not 0.0 < iou_threshold <= 1.0:
         raise InvalidInputError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
@@ -138,25 +127,18 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> np.ndarray
     # Pairs come as (i, j) with i < j: box i is visited first, so only it
     # can suppress the other.
     i, j = cKDTree(centres).query_pairs(reach, p=np.inf, output_type="ndarray").T
-    close = iou(ranked[i], ranked[j]) >= iou_threshold
-    i, j = i[close], j[close]
-    by_first = np.argsort(i)
-    later = j[by_first]
-    bounds = np.searchsorted(i[by_first], np.arange(n + 1)).tolist()
-
+    close = np.flatnonzero(iou(ranked[i], ranked[j]) >= iou_threshold)
+    close = close[np.argsort(i[close])]
     suppressed = np.zeros(n, dtype=bool)
-    kept = []
-    for k in range(n):
-        if suppressed[k]:
-            continue
-        kept.append(k)
-        suppressed[later[bounds[k]:bounds[k + 1]]] = True
-    return order[kept]
+    for a, b in zip(i[close].tolist(), j[close].tolist()):
+        if not suppressed[a]:
+            suppressed[b] = True
+    return order[~suppressed]
 
 
 def centers(boxes) -> np.ndarray:
     """Centres of (n, 5) box rows as an (n, 2) array."""
-    boxes = _rows(boxes, 5, "boxes")
+    boxes = finite_rows(boxes, 5, "boxes")
     return (boxes[:, :2] + boxes[:, 2:4]) / 2.0
 
 
@@ -194,8 +176,8 @@ def match_counts(detected, labeled, radius: float = DEFAULT_MATCH_RADIUS) -> Mat
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise InvalidInputError(f"radius must be positive, got {radius}")
-    detected = _rows(detected, 2, "detected")
-    labeled = _rows(labeled, 2, "labeled")
+    detected = finite_rows(detected, 2, "detected")
+    labeled = finite_rows(labeled, 2, "labeled")
     n_lab, n_det = len(labeled), len(detected)
 
     # Query a hair wide, then gate on the recomputed distance so the

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import map_tasks
+from ._pool import check_task_count, map_tasks
 from .errors import InvalidInputError
 from .geometry import PointPattern, Window
 from .ripley import DistanceGrid, statistic_curve
@@ -71,9 +71,9 @@ def envelope(
     n_ref: int | None = None,
 ) -> EnvelopeResult:
     """Compare a pattern's statistic against m conditional CSR simulations."""
-    statistic = str(statistic).upper()  # statistic_curve rejects an unknown name
     if m < 19:
         raise InvalidInputError(f"need at least 19 simulations for a 95% band, got {m}")
+    check_task_count(m, "envelope")
     n = len(pattern)
     if n < 2:
         raise InvalidInputError(f"envelope test needs at least 2 points, got {n}")

@@ -17,6 +17,18 @@ from scipy.spatial import cKDTree
 from .errors import InvalidInputError
 
 
+def finite_rows(rows, width: int, name: str) -> np.ndarray:
+    """``rows`` as an (n, width) float array of finite values."""
+    try:
+        arr = np.asarray(rows, dtype=float)
+        arr = arr.reshape(0, width) if arr.size == 0 else arr
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != width or not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} must be an (n, {width}) array of finite values")
+    return arr
+
+
 @dataclass(frozen=True)
 class Window:
     """Axis-aligned rectangle with strictly positive area."""
@@ -71,19 +83,11 @@ class PointPattern:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = np.array(self.coords, dtype=float, copy=True)
-        if coords.size == 0:
-            coords = coords.reshape(0, 2)
-        if coords.ndim != 2 or coords.shape[1] != 2:
-            raise InvalidInputError(f"coords must have shape (n, 2), got {coords.shape}")
-        if not np.all(np.isfinite(coords)):
-            raise InvalidInputError("coords must be finite")
-        inside = self.window.contains(coords[:, 0], coords[:, 1])
-        if not np.all(inside):
-            bad = coords[~inside][0]
-            raise InvalidInputError(
-                f"point ({bad[0]}, {bad[1]}) lies outside window {self.window}"
-            )
+        coords = finite_rows(self.coords, 2, "coords").copy()
+        outside = ~self.window.contains(coords[:, 0], coords[:, 1])
+        if outside.any():
+            x, y = coords[outside][0]
+            raise InvalidInputError(f"point ({x}, {y}) lies outside window {self.window}")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -93,7 +97,12 @@ class PointPattern:
     @cached_property
     def tree(self) -> cKDTree:
         """The k-d tree on ``coords``, built on first use and shared by every
-        statistic computed on this pattern."""
+        statistic of this pattern; refused for a window side outside [1e-150,
+        1e150], where squared distances overflow or turn subnormal."""
+        sides = (self.window.width, self.window.height)
+        if not 1e-150 <= min(sides) <= max(sides) <= 1e150:
+            raise InvalidInputError(f"window sides {sides} lie outside [1e-150, 1e150]; "
+                                    "rescale the coordinates")
         return cKDTree(self.coords)
 
 

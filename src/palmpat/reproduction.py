@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import map_tasks
+from ._pool import check_task_count, map_tasks
 from .errors import InvalidInputError
 from .geometry import PointPattern, Window
 from .ripley import DistanceGrid, f_function, g_function
@@ -255,8 +255,9 @@ def fit(
     fills ``f_function``'s reference set before the workers fork, and every
     trial's F reads it.
     """
-    sigmas = list(sigma_candidates)
-    cells = [ReproductionParams(float(p), float(s)) for p in p_candidates for s in sigmas]
+    ps, sigmas = list(p_candidates), list(sigma_candidates)
+    check_task_count(len(ps) * len(sigmas) * n_trials, "fit")
+    cells = [ReproductionParams(float(p), float(s)) for p in ps for s in sigmas]
     if not cells:
         raise InvalidInputError("candidate lists must be nonempty")
     if n_trials < 1:

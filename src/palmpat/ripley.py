@@ -17,7 +17,7 @@ are always compared with the same estimator:
   a fit reads one set, ordered in 16 horizontal strips of the window and by
   x within each for faster queries; F sorts the reference distances, so
   their order cannot change a byte.
-* Every statistic of a pattern queries its one k-d tree, ``pattern.tree``.
+* Each pattern's statistics share one k-d tree, ``pattern.tree`` (sides 1e-150 to 1e150).
 * J is left undefined (NaN) wherever F(d) == 1.
 """
 from __future__ import annotations
@@ -146,12 +146,13 @@ def statistic_curve(
     n_ref: int | None,
     f_seed: int,
 ) -> np.ndarray:
-    """Evaluate one named statistic; F and J consume the given reference seed."""
-    if statistic == "G":
+    """Evaluate one statistic named in any case; F and J consume the given reference seed."""
+    name = str(statistic).upper()
+    if name == "G":
         return g_function(pattern, grid)
-    if statistic == "F":
+    if name == "F":
         return f_function(pattern, grid, n_ref, f_seed)
-    if statistic == "J":
+    if name == "J":
         return j_function(pattern, grid, n_ref, f_seed)
     raise InvalidInputError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
 

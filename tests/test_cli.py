@@ -233,6 +233,46 @@ def test_bad_thread_count_is_data_error(argv, threads, message, points_csv, tmp_
     assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
 
 
+def _not_before_the_cap(*args):
+    raise AssertionError("a seed was derived before the task cap was checked")
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["fit", "--p", "0.5", "--sigma", "2", "--trials", "1000001"], "fit"),
+    (["envelope", "--stat", "g", "--m", "1000001"], "envelope"),
+])
+def test_task_cap_is_one_line_data_error(argv, what, points_csv, tmp_path, capsys, monkeypatch):
+    for module in ("palmpat.reproduction", "palmpat.envelope"):
+        monkeypatch.setattr(importlib.import_module(module), "substream_seed",
+                            _not_before_the_cap)
+    code = main([*argv, "--points", points_csv, "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    message = f"error: {what} asks for 1000001 tasks, above the cap of 1000000\n"
+    assert (code, captured.out, captured.err) == (3, "", message)
+
+
+@pytest.mark.parametrize("side", ["1e160", "1e-160"])
+@pytest.mark.parametrize("argv", [
+    ["ripley", "--stat", "g"],
+    ["ripley", "--stat", "f"],
+    ["envelope", "--stat", "j", "--m", "19"],
+    ["fit", "--p", "0.5", "--sigma", "2", "--trials", "2"],
+    ["nn-stats", "--k", "1"],
+], ids=["ripley-g", "ripley-f", "envelope", "fit", "nn-stats"])
+def test_window_outside_the_distance_scale_is_one_line_data_error(argv, side, tmp_path,
+                                                                  capsys):
+    s = float(side)
+    points = write(tmp_path / "pts.csv", f"x,y\n0,0\n{s},{s}\n{s / 2},{s / 4}\n")
+    window = ["--window", "0", "0", side, side]
+    code = main([*argv, "--points", points, *window, "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (f"error: window sides ({s}, {s}) lie outside [1e-150, 1e150]; "
+                            "rescale the coordinates\n")
+    assert main(["simulate", "--n", "20", *window, "--out-dir", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -523,6 +563,10 @@ MERGE_GOLDEN = {
 
 @pytest.mark.parametrize("mode", ["tiled", "global"])
 def test_merge_golden_hashes(mode, tmp_path, capsys):
+    check_merge_golden(mode, tmp_path, capsys)
+
+
+def check_merge_golden(mode, tmp_path, capsys):
     det = write(tmp_path / "det.csv", _lcg_detections(mode == "tiled"))
     out = tmp_path / "out"
     layout = (["--global"] if mode == "global"
@@ -647,6 +691,10 @@ CLI_GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(CLI_GOLDEN))
 def test_cli_golden_hashes(case, tmp_path, capsys):
+    check_cli_golden(case, tmp_path, capsys)
+
+
+def check_cli_golden(case, tmp_path, capsys):
     argv, expected = CLI_GOLDEN[case]
     out = tmp_path / "out"
     if argv[0] != "simulate":
@@ -729,6 +777,10 @@ COUNT_GOLDEN = "d0a88e0b4cd761dd18daf9cf40c957d18262ff03e5895aa6bfe2e8dcbd326ff8
 
 
 def test_count_golden_hash(tmp_path, capsys):
+    check_count_golden(tmp_path, capsys)
+
+
+def check_count_golden(tmp_path, capsys):
     labeled, detected = _lcg_centres()
     out = tmp_path / "out"
     # 5 units at 2 units per meter: radius 2.5 m, met exactly by some pairs.
@@ -812,3 +864,18 @@ def test_coincident_points_run_cleanly(argv, tmp_path, capsys, monkeypatch):
     assert (code, captured.err) == (0, "")
     if argv[0] == "nn-stats":
         assert "mean=0.0 median=0.0 std=0.0" in captured.out
+
+
+def test_golden_outputs_do_not_follow_numpy_print_options(tmp_path, capsys):
+    # Under this option str() of a numpy float prints 12 digits (0.3 for
+    # 0.1 + 0.2); the CSV writer's repr(float(v)) keeps every digit.
+    def fresh(name):
+        (tmp_path / name).mkdir()
+        return tmp_path / name
+
+    with np.printoptions(legacy="1.13"):
+        for case in ("ripley_f", "envelope_j_svg", "fit", "nn_stats"):
+            check_cli_golden(case, fresh(case), capsys)
+        for mode in ("tiled", "global"):
+            check_merge_golden(mode, fresh(mode), capsys)
+        check_count_golden(fresh("count"), capsys)

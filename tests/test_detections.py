@@ -140,6 +140,26 @@ def test_nms_confidence_tie_prefers_earlier_input():
     assert nms_boxes([b, a], 0.5) == [b]
 
 
+@pytest.mark.parametrize("confidences, reversed_kept", [
+    ((0.9, 0.8, 0.7), "ac"),
+    ((0.5, 0.5, 0.5), "ca"),  # a tie: input order visits c first
+], ids=["ranked", "tied"])
+def test_nms_chain_keeps_the_box_whose_suppressor_was_suppressed(confidences, reversed_kept):
+    # a suppresses b (IoU 3/7), b would suppress c (3/7), a and c barely
+    # overlap (1/9): c survives because b did not.
+    a, b, c = (Box(x, 0, x + 10, 10, conf) for x, conf in zip((0, 4, 8), confidences))
+    assert nms_boxes([a, b, c], 0.4) == brute_nms([a, b, c], 0.4) == [a, c]
+    kept = [{"a": a, "c": c}[name] for name in reversed_kept]
+    assert nms_boxes([c, b, a], 0.4) == brute_nms([c, b, a], 0.4) == kept
+
+
+def test_nms_at_threshold_one_drops_only_exact_duplicates_ties_to_input_order():
+    x, y = (0, 0, 2, 2), (1, 1, 3, 3)
+    boxes = [Box(*x, 0.5), Box(*y, 0.7), Box(*x, 0.5), Box(*y, 0.7), Box(*x, 0.7)]
+    assert merge_nms(boxes, 1.0).tolist() == [1, 4]
+    assert nms_boxes(boxes, 1.0) == brute_nms(boxes, 1.0)
+
+
 def test_nms_matches_brute_force_reference():
     rng = np.random.default_rng(11)
     for _ in range(100):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from palmpat import (
     envelope,
     simulate_csr,
 )
+from palmpat._pool import MAX_TASKS, check_task_count
 
 WINDOW = Window(0.0, 0.0, 100.0, 100.0)
 
@@ -95,6 +97,18 @@ def test_envelope_requires_19_simulations():
     p = simulate_csr(WINDOW, 20, seed=1)
     with pytest.raises(InvalidInputError):
         envelope(p, DistanceGrid.default(WINDOW, 10), "G", m=18, seed=0)
+
+
+def test_envelope_refuses_more_simulations_than_the_task_cap_before_any_seed(monkeypatch):
+    def no_seed(*args):
+        raise AssertionError("a seed was derived before the task cap was checked")
+
+    # the package's ``envelope`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("palmpat.envelope"), "substream_seed", no_seed)
+    p = simulate_csr(WINDOW, 20, seed=1)
+    with pytest.raises(InvalidInputError, match=f"above the cap of {MAX_TASKS}"):
+        envelope(p, DistanceGrid.default(WINDOW, 10), "G", m=MAX_TASKS + 1, seed=0)
+    check_task_count(MAX_TASKS, "envelope")  # the cap itself is allowed
 
 
 def test_envelope_rejects_unknown_statistic():

@@ -96,6 +96,24 @@ def test_pattern_rejects_outside_points():
         pattern_on(UNIT, [[0.5, 0.5], [1.5, 0.5]])
 
 
+@pytest.mark.parametrize("coords", [
+    [[0.5, 0.5], [0.5]],  # ragged: numpy alone raises a plain ValueError
+    np.zeros((1, 3)),
+    [[0.5, float("nan")]],
+    [0.5, 0.5],
+], ids=["ragged", "three-columns", "nan", "flat"])
+def test_pattern_rejects_coordinates_that_are_not_finite_rows(coords):
+    with pytest.raises(InvalidInputError, match=r"coords must be an \(n, 2\) array"):
+        PointPattern(UNIT, coords)
+
+
+def test_pattern_copies_its_coordinates():
+    coords = np.array([[0.5, 0.5]])
+    p = PointPattern(UNIT, coords)
+    coords[0, 0] = 0.25
+    assert p.coords.tolist() == [[0.5, 0.5]] and coords.flags.writeable
+
+
 def test_pattern_boundary_points_allowed():
     p = pattern_on(UNIT, [[0.0, 0.0], [1.0, 1.0]])
     assert len(p) == 2

@@ -31,6 +31,7 @@ from palmpat import (
     simulate_reproduction,
     trapezoid_integrate,
 )
+from palmpat._pool import MAX_TASKS
 from oracles import (
     all_pairs_distances,
     assert_same_fit,
@@ -547,3 +548,22 @@ def test_fit_rejects_empty_candidates():
         fit(observed, [], [5.0], n_trials=1, grid=DistanceGrid.default(window, 10), seed=0)
     with pytest.raises(InvalidInputError):
         fit(observed, [0.5], [], n_trials=1, grid=DistanceGrid.default(window, 10), seed=0)
+
+
+def _not_before_the_cap(*args, **kwargs):
+    raise AssertionError("called before the task cap was checked")
+
+
+@pytest.mark.parametrize("ps, sigmas, n_trials", [
+    ([0.5], [1.0], MAX_TASKS + 1),
+    (np.linspace(0.0, 1.0, 1001), np.arange(1.0, 1001.0), 1),
+], ids=["trials", "cells"])
+def test_fit_refuses_more_tasks_than_the_cap_before_any_seed_or_cell(ps, sigmas, n_trials,
+                                                                     monkeypatch):
+    monkeypatch.setattr(reproduction, "substream_seed", _not_before_the_cap)
+    monkeypatch.setattr(reproduction, "ReproductionParams", _not_before_the_cap)
+    observed = simulate_csr(Window(0.0, 0.0, 100.0, 100.0), 20, seed=1)
+    count = len(ps) * len(sigmas) * n_trials
+    with pytest.raises(InvalidInputError,
+                       match=f"fit asks for {count} tasks, above the cap of {MAX_TASKS}"):
+        fit(observed, ps, sigmas, n_trials=n_trials)

@@ -117,22 +117,50 @@ def test_f_matches_direct_count_with_same_reference_stream():
     np.testing.assert_array_equal(fast, brute_f_values(p.coords, refs, grid.values))
 
 
-@pytest.mark.parametrize("window", [
-    Window(0.0, 0.0, 60.0, 40.0),
-    Window(-3.0, 0.0, 1e300, 1.0),
-    Window(0.0, -1e-300, 1.0, 0.0),
-    Window(-5e299, 0.0, 5e299, 1e-300),
-    Window(-8e307, -8e307, 8e307, 8e307),  # 16 times a side overflows
-], ids=["plain", "1e300-wide", "1e-300-high", "both", "1.6e308-square"])
-def test_f_matches_direct_count_in_extreme_windows(window):
+@pytest.mark.parametrize("window, in_scale", [
+    pytest.param(Window(0.0, 0.0, 60.0, 40.0), True, id="plain"),
+    pytest.param(Window(-3.0, 0.0, 1e300, 1.0), False, id="1e300-wide"),
+    pytest.param(Window(0.0, -1e-300, 1.0, 0.0), False, id="1e-300-high"),
+    pytest.param(Window(-5e299, 0.0, 5e299, 1e-300), False, id="both"),
+    # 16 times a side overflows
+    pytest.param(Window(-8e307, -8e307, 8e307, 8e307), False, id="1.6e308-square"),
+])
+def test_f_matches_direct_count_in_extreme_windows(window, in_scale):
     # the reference sort key must not overflow (a RuntimeWarning fails the suite)
+    refs = ripley._references(window, 300, 8)
+    direct = uniform_reference_stream(window, 300, 8)
+    assert sorted(map(tuple, refs.tolist())) == sorted(map(tuple, direct.tolist()))
     p = simulate_csr(window, 40, seed=6)
     grid = DistanceGrid(np.linspace(0.0, min(window.width, 8.0), 9))
-    fast = f_function(p, grid, 300, seed=8)
-    refs = uniform_reference_stream(window, 300, 8)
-    with np.errstate(over="ignore"):  # the oracle squares distances near 1e300
-        direct = brute_f_values(p.coords, refs, grid.values)
-    np.testing.assert_array_equal(fast, direct)
+    if in_scale:
+        np.testing.assert_array_equal(f_function(p, grid, 300, seed=8),
+                                      brute_f_values(p.coords, direct, grid.values))
+    else:  # squared distances would overflow or turn subnormal
+        with pytest.raises(InvalidInputError, match="rescale the coordinates"):
+            f_function(p, grid, 300, seed=8)
+
+
+@pytest.mark.parametrize("exponent", [498, -498])
+def test_g_and_f_at_the_ends_of_the_distance_scale_equal_the_unit_square(exponent):
+    scale = 2.0 ** exponent  # scaling by a power of two is exact
+    unit = simulate_csr(Window(0.0, 0.0, 1.0, 1.0), 50, seed=4)
+    scaled = PointPattern(Window(0.0, 0.0, scale, scale), unit.coords * scale)
+    grid = DistanceGrid.default(unit.window, 10)
+    scaled_grid = DistanceGrid(grid.values * scale)
+    assert g_function(scaled, scaled_grid).tobytes() == g_function(unit, grid).tobytes()
+    assert (f_function(scaled, scaled_grid, 500, seed=5).tobytes()
+            == f_function(unit, grid, 500, seed=5).tobytes())
+
+
+@pytest.mark.parametrize("window", [Window(0.0, 0.0, 1e160, 1.0), Window(0.0, 0.0, 1.0, 1e-160),
+                                    Window(0.0, 0.0, 2.0 ** 500, 2.0 ** 500)])
+def test_statistics_refuse_a_window_outside_the_distance_scale(window):
+    p = simulate_csr(window, 20, seed=1)  # a pattern and its window are still accepted
+    grid = DistanceGrid.default(window, 5)
+    for curve in (g_function, lambda p, grid: f_function(p, grid, 50, seed=2),
+                  lambda p, grid: j_function(p, grid, 50, seed=2), lambda p, grid: nn_stats(p)):
+        with pytest.raises(InvalidInputError, match=r"outside \[1e-150, 1e150\]"):
+            curve(p, grid)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, [1]])
@@ -246,6 +274,14 @@ def test_statistic_curve_rejects_unknown_name():
     message = r"statistic must be one of \('G', 'F', 'J'\), got 'K'"
     with pytest.raises(InvalidInputError, match=message):
         statistic_curve(p, DistanceGrid([0.0, 1.0]), "K", None, 0)
+
+
+@pytest.mark.parametrize("name", ["G", "F", "J"])
+def test_statistic_curve_reads_a_name_in_either_case(name):
+    p = simulate_csr(Window(0, 0, 10, 10), 20, seed=1)
+    grid = DistanceGrid.default(p.window, 10)
+    upper = statistic_curve(p, grid, name, 60, 3)
+    assert statistic_curve(p, grid, name.lower(), 60, 3).tobytes() == upper.tobytes()
 
 
 # ---------------------------------------------------------------- curve shape properties
