@@ -107,10 +107,12 @@ def _read_rows(path, expected_header: str):
         )
     n_fields = expected_header.count(",") + 1
     body = [line for line in lines[1:] if line.strip()]
+    joined = ",".join(body)  # float() alone also reads "1_000" and non-ASCII digits
     try:  # the whole file at once
-        if any(line.count(",") != n_fields - 1 for line in body):
+        if "_" in joined or not joined.isascii() or any(
+                line.count(",") != n_fields - 1 for line in body):
             raise ValueError
-        rows = np.array(list(map(float, ",".join(body).split(",")))).reshape(-1, n_fields)
+        rows = np.array(list(map(float, joined.split(",")))).reshape(-1, n_fields)
         if np.isfinite(rows).all():
             return rows
     except ValueError:
@@ -125,6 +127,8 @@ def _read_rows(path, expected_header: str):
                 f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
             )
         try:
+            if "_" in line or not line.isascii():
+                raise ValueError
             values = [float(f) for f in fields]
         except ValueError:
             raise InvalidInputError(f"{path}:{lineno}: non-numeric field in {line!r}")
@@ -427,14 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("ripley", help="compute a G, F or J curve")
     _add_common(s)
     _add_grid(s)
-    s.add_argument("--stat", choices=["g", "f", "j"], required=True)
+    s.add_argument("--stat", choices=["g", "f", "j"], required=True, help="statistic: G, F or J")
     s.add_argument("--svg", action="store_true", help="also write an SVG line chart")
     s.set_defaults(func=cmd_ripley)
 
     s = subs.add_parser("envelope", help="Monte Carlo CSR envelope test")
     _add_common(s)
     _add_grid(s)
-    s.add_argument("--stat", choices=["g", "f", "j"], required=True)
+    s.add_argument("--stat", choices=["g", "f", "j"], required=True, help="statistic: G, F or J")
     s.add_argument("--m", type=int, default=DEFAULT_SIMULATIONS, dest="envelope_m",
                    help=f"number of CSR simulations (default {DEFAULT_SIMULATIONS})")
     s.add_argument("--svg", action="store_true", help="also write an SVG line chart")
@@ -444,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, points=False)
     s.add_argument("--n", type=int, required=True, help="number of points")
     s.add_argument("--window", type=float, nargs=4, required=True,
-                   metavar=("X_MIN", "Y_MIN", "X_MAX", "Y_MAX"))
+                   metavar=("X_MIN", "Y_MIN", "X_MAX", "Y_MAX"), help="window to fill with points")
     s.add_argument("--p", type=float, default=None,
                    help="clustering probability (omit for CSR)")
     s.add_argument("--sigma", type=float, default=None,
@@ -465,9 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--detections", required=True, help="detections CSV")
     s.add_argument("--global", action="store_true", dest="global_coords",
                    help="detections are already in global coordinates")
-    s.add_argument("--patch-size", type=int, default=DEFAULT_PATCH_SIZE, dest="patch_size")
-    s.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
-    s.add_argument("--origin", type=float, nargs=2, default=(0.0, 0.0), metavar=("X", "Y"))
+    s.add_argument("--patch-size", type=int, default=DEFAULT_PATCH_SIZE, dest="patch_size",
+                   help=f"tile side, in the detections' units (default {DEFAULT_PATCH_SIZE})")
+    s.add_argument("--stride", type=int, default=DEFAULT_STRIDE,
+                   help=f"offset between neighbouring tiles (default {DEFAULT_STRIDE})")
+    s.add_argument("--origin", type=float, nargs=2, default=(0.0, 0.0), metavar=("X", "Y"),
+                   help="global (x, y) where tile (0, 0) starts (default 0 0)")
     s.add_argument("--iou", type=float, default=DEFAULT_IOU_THRESHOLD, dest="iou_threshold",
                    help=f"NMS IoU threshold (default {DEFAULT_IOU_THRESHOLD})")
     s.set_defaults(func=cmd_merge)
@@ -478,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--labeled", required=True, help="labeled centers CSV (x,y)")
     s.add_argument("--radius", type=float, default=DEFAULT_MATCH_RADIUS, dest="match_radius",
                    help=f"match radius in meters (default {DEFAULT_MATCH_RADIUS})")
-    s.add_argument("--units-per-meter", type=float, default=1.0, dest="units_per_meter")
+    s.add_argument("--units-per-meter", type=float, default=1.0, dest="units_per_meter",
+                   help="input units per meter; coordinates are divided by this (default 1)")
     s.set_defaults(func=cmd_count)
 
     s = subs.add_parser("nn-stats", help="k-nearest-neighbor distance statistics")

@@ -105,8 +105,9 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> np.ndarray
     pair query finds every candidate pair, and ``geometry.iou`` scores them
     all at once. One pass over the close pairs, by their first-visited box,
     settles each box before the pairs it starts, so the kept list is exactly
-    that of comparing each candidate with every kept box, at a cost of about
-    O(n log n + intersecting pairs) instead of O(n * kept).
+    that of comparing each candidate with every kept box. The cost is about
+    O(n log n + pairs of centres within the largest extent), which tiles bound
+    by the patch; one box that spans the area makes it O(n^2) in time and memory.
     """
     boxes = finite_rows(boxes, 5, "boxes")
     _raise_first(_box_checks(boxes))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pool import check_task_count, map_tasks
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 from .geometry import PointPattern, Window
 from .ripley import DistanceGrid, statistic_curve
 from .seeding import DEFAULT_SEED, rng_from_seed, substream_seed
@@ -41,8 +41,7 @@ class EnvelopeResult:
 
 def simulate_csr(window: Window, n: int, seed: int = DEFAULT_SEED) -> PointPattern:
     """n points independently uniform over the window (binomial process)."""
-    if n < 1:
-        raise InvalidInputError(f"point count must be positive, got {n}")
+    n = check_count(n, "n")
     rng = rng_from_seed(seed)
     return PointPattern(window, rng.uniform(window.lo, window.hi, size=(n, 2)))
 
@@ -71,8 +70,7 @@ def envelope(
     n_ref: int | None = None,
 ) -> EnvelopeResult:
     """Compare a pattern's statistic against m conditional CSR simulations."""
-    if m < 19:
-        raise InvalidInputError(f"need at least 19 simulations for a 95% band, got {m}")
+    m = check_count(m, "m", 19)  # the fewest simulations for a 95% band
     check_task_count(m, "envelope")
     n = len(pattern)
     if n < 2:

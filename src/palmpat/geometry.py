@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 
 
 def finite_rows(rows, width: int, name: str) -> np.ndarray:
@@ -26,6 +26,18 @@ def finite_rows(rows, width: int, name: str) -> np.ndarray:
         arr = None
     if arr is None or arr.ndim != 2 or arr.shape[1] != width or not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} must be an (n, {width}) array of finite values")
+    return arr
+
+
+def increasing_values(values, name: str) -> np.ndarray:
+    """``values`` as a new nonempty, finite, strictly increasing 1-D float array."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 1 or not (arr.size and np.isfinite(arr).all()
+                                           and (np.diff(arr) > 0.0).all()):
+        raise InvalidInputError(f"{name} must be nonempty, finite, strictly increasing and 1-D")
     return arr
 
 
@@ -142,7 +154,7 @@ def nearest_neighbor_distances(pattern: PointPattern, k: int = 1) -> np.ndarray:
     n = len(pattern)
     if n < 2:
         raise InvalidInputError(f"nearest-neighbor query needs at least 2 points, got {n}")
-    if not 1 <= k <= n - 1:
+    if check_count(k, "k") > n - 1:
         raise InvalidInputError(f"k must be in [1, {n - 1}], got {k}")
     dist, _ = pattern.tree.query(pattern.coords, k=k + 1)
     # Column 0 is the point itself, or a tied zero among coincident points.

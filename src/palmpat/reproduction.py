@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pool import check_task_count, map_tasks
-from .errors import InvalidInputError
-from .geometry import PointPattern, Window
+from .errors import InvalidInputError, check_count
+from .geometry import PointPattern, Window, increasing_values
 from .ripley import DistanceGrid, f_function, g_function
 from .seeding import DEFAULT_SEED, rng_from_seed, substream_seed
 
@@ -85,18 +85,10 @@ class SimulationDiagnostics:
 
 def trapezoid_integrate(xs, ys) -> float:
     """Composite trapezoid rule over strictly increasing abscissae."""
-    xs = np.asarray(xs, dtype=float)
+    xs = increasing_values(xs, "xs")
     ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or ys.ndim != 1 or xs.size != ys.size:
-        raise InvalidInputError(
-            f"xs and ys must be 1-D and equally long, got {xs.shape} and {ys.shape}"
-        )
-    if xs.size < 2:
-        raise InvalidInputError(f"need at least 2 samples, got {xs.size}")
-    if not np.all(np.isfinite(xs)):
-        raise InvalidInputError("xs must be finite")
-    if not np.all(np.diff(xs) > 0.0):
-        raise InvalidInputError("xs must be strictly increasing")
+    if ys.shape != xs.shape or xs.size < 2:
+        raise InvalidInputError(f"need 1-D ys as long as xs, and 2+ samples; xs has {xs.size}")
     return float(np.sum((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1])) / 2.0)
 
 
@@ -157,8 +149,7 @@ def simulate_reproduction(
     (``uniform(lo, hi)`` = ``lo + (hi - lo) * random(2)``), so the same bytes. Per
     n=1500 call on a 2-core x86 host: C 0.1-0.2 ms, floats 7-11 ms, array loop 19-29 ms.
     """
-    if n < 1:
-        raise InvalidInputError(f"point count must be positive, got {n}")
+    n = check_count(n, "n")  # before the split, so both paths refuse the same inputs
     rng = rng_from_seed(seed)
     x0, y0, x1, y1 = map(float, window.lo + window.hi)
     if sampler := load_sampler():
@@ -256,12 +247,10 @@ def fit(
     trial's F reads it.
     """
     ps, sigmas = list(p_candidates), list(sigma_candidates)
-    check_task_count(len(ps) * len(sigmas) * n_trials, "fit")
+    check_task_count(len(ps) * len(sigmas) * check_count(n_trials, "n_trials"), "fit")
     cells = [ReproductionParams(float(p), float(s)) for p in ps for s in sigmas]
     if not cells:
         raise InvalidInputError("candidate lists must be nonempty")
-    if n_trials < 1:
-        raise InvalidInputError(f"n_trials must be positive, got {n_trials}")
     n = len(observed)
     if n < 2:
         raise InvalidInputError(f"fit needs at least 2 observed points, got {n}")

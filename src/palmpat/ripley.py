@@ -27,9 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .geometry import PointPattern, Window, nearest_neighbor_distances
-from .seeding import DEFAULT_SEED, check_seed, rng_from_seed
+from .errors import InvalidInputError, check_count
+from .geometry import PointPattern, Window, increasing_values, nearest_neighbor_distances
+from .seeding import DEFAULT_SEED, rng_from_seed
 
 DEFAULT_GRID_STEPS = 100
 STATISTICS = ("G", "F", "J")
@@ -42,15 +42,9 @@ class DistanceGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float, copy=True)
-        if values.ndim != 1 or values.size == 0:
-            raise InvalidInputError("distance grid must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("distance grid must be finite")
+        values = increasing_values(self.values, "distance grid")
         if values[0] < 0.0:
             raise InvalidInputError(f"distances must be nonnegative, got {values[0]}")
-        if values.size > 1 and not np.all(np.diff(values) > 0.0):
-            raise InvalidInputError("distance grid must be strictly increasing")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -60,8 +54,7 @@ class DistanceGrid:
     @classmethod
     def default(cls, window: Window, steps: int = DEFAULT_GRID_STEPS) -> "DistanceGrid":
         """Evenly spaced grid from 0 to half the shorter window side."""
-        if steps < 2:
-            raise InvalidInputError(f"grid needs at least 2 steps, got {steps}")
+        steps = check_count(steps, "steps", 2)
         return cls(np.linspace(0.0, min(window.width, window.height) / 2.0, steps))
 
 
@@ -103,11 +96,8 @@ def f_function(
     """
     if len(pattern) == 0:
         raise InvalidInputError("F function needs a nonempty pattern")
-    seed = check_seed(seed)  # before the cache, which cannot hash every bad seed
-    if n_ref is None:
-        n_ref = max(1000, len(pattern))
-    if not isinstance(n_ref, (int, np.integer)) or n_ref < 1:
-        raise InvalidInputError(f"n_ref must be a positive integer, got {n_ref!r}")
+    seed = check_count(seed, "seed", 0)  # before the cache, which cannot hash every bad seed
+    n_ref = max(1000, len(pattern)) if n_ref is None else check_count(n_ref, "n_ref")
     dist, _ = pattern.tree.query(_references(pattern.window, n_ref, seed), k=1)
     dist.sort()  # so the order of the references cannot change a byte
     return _empirical_cdf(dist, grid)
@@ -163,8 +153,7 @@ def nn_stats(pattern: PointPattern, k: int = 5, bins: int = 30) -> NeighborStats
     k=1 summarizes plain nearest-neighbor spacing; k=5 the average of the
     five nearest. Standard deviation uses the n-1 denominator.
     """
-    if bins < 1:
-        raise InvalidInputError(f"bins must be positive, got {bins}")
+    check_count(bins, "bins")
     per_point = nearest_neighbor_distances(pattern, k).mean(axis=1)
     counts, edges = np.histogram(per_point, bins=bins)
     return NeighborStats(

@@ -11,25 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import check_count
 
 # Used by the CLI when --seed is omitted. Never wall-clock entropy.
 DEFAULT_SEED = 0
 
 
-def check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise InvalidInputError(f"seed must be an integer, got {type(seed).__name__}")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
-    return int(seed)
-
-
 def substream_seed(master_seed: int, *counters: int) -> int:
     """Derive a child seed from ``master_seed`` and a counter tuple."""
-    ss = np.random.SeedSequence(check_seed(master_seed), spawn_key=tuple(counters))
+    ss = np.random.SeedSequence(check_count(master_seed, "seed", 0), spawn_key=tuple(counters))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.default_rng(check_seed(seed))
+    return np.random.default_rng(check_count(seed, "seed", 0))

@@ -108,7 +108,9 @@ def test_parse_points_degenerate_bbox_needs_window(tmp_path):
 
 
 # Every outcome of the CSV reader, with the result or message the
-# line-by-line reader gave before it parsed whole files at once.
+# line-by-line reader gave before it parsed whole files at once; Python's
+# float() also reads PEP 515 underscores and non-ASCII digits, which the
+# reader refuses in both of its passes.
 READ_CASES = {
     "bom": ("\ufeffx,y\n1,2\n", [[1.0, 2.0]]),
     "blank_lines": ("x,y\n\n1,2\n   \n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
@@ -124,6 +126,9 @@ READ_CASES = {
     "nan": ("x,y\n1,2\nnan,3\n", "{path}:3: non-finite value in 'nan,3'"),
     "inf": ("x,y\n1,2\n3,-inf\n", "{path}:3: non-finite value in '3,-inf'"),
     "overflow": ("x,y\n1e999,2\n", "{path}:2: non-finite value in '1e999,2'"),
+    "underscore": ("x,y\n1_000,2\n3,4\n5,1\n", "{path}:2: non-numeric field in '1_000,2'"),
+    "arabic_digit": ("x,y\n1,2\n3,\u0664\n", "{path}:3: non-numeric field in '3,\u0664'"),
+    "fullwidth_digit": ("x,y\n\uff11,2\n", "{path}:2: non-numeric field in '\uff11,2'"),
     "header_only": ("x,y\n", "{path}: no data rows"),
     "header_and_blanks": ("x,y\n\n  \n", "{path}: no data rows"),
     "empty_file": ("", "{path}: empty file"),
