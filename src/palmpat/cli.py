@@ -47,7 +47,7 @@ from .detections import (
     to_global,
 )
 from .envelope import DEFAULT_SIMULATIONS, EnvelopeResult, envelope, simulate_csr
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count, check_real
 from .geometry import PointPattern, Window
 from .reproduction import DEFAULT_TRIALS, FitResult, ReproductionParams, fit, simulate_reproduction
 from .ripley import DEFAULT_GRID_STEPS, DistanceGrid, NeighborStats, nn_stats, statistic_curve
@@ -137,14 +137,6 @@ def _read_rows(path, expected_header: str):
     raise InvalidInputError(f"{path}: no data rows")
 
 
-def _checked_units(units_per_meter: float) -> float:
-    if not (math.isfinite(units_per_meter) and units_per_meter > 0):
-        raise InvalidInputError(
-            f"units_per_meter must be positive and finite, got {units_per_meter}"
-        )
-    return units_per_meter
-
-
 def parse_points_csv(path, units_per_meter: float = 1.0, window=None) -> PointPattern:
     """Load an ``x,y`` file, scale into meters, and attach a window.
 
@@ -152,18 +144,15 @@ def parse_points_csv(path, units_per_meter: float = 1.0, window=None) -> PointPa
     y_max, in input units) are divided by ``units_per_meter``. Without a
     window the points' bounding box is used and a notice is logged.
     """
-    units = _checked_units(units_per_meter)
+    units = check_real(units_per_meter, "units_per_meter", 0.0, low_open=True)
     if window is not None:
         window = Window(*(v / units for v in window))
     coords = _read_rows(path, "x,y") / units
     if window is None:
-        x_min, y_min = coords.min(axis=0)
-        x_max, y_max = coords.max(axis=0)
-        if not (x_min < x_max and y_min < y_max):
-            raise InvalidInputError(
-                f"{path}: degenerate bounding box; pass an explicit --window"
-            )
-        window = Window(float(x_min), float(y_min), float(x_max), float(y_max))
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        if not (lo < hi).all():
+            raise InvalidInputError(f"{path}: degenerate bounding box; pass an explicit --window")
+        window = Window(*lo, *hi)
         logger.info("no --window given; using the points' bounding box %s", window)
     return PointPattern(window, coords)
 
@@ -275,21 +264,17 @@ def _emit(args, name: str, write, *data) -> None:
 
 def _grid(args, window: Window) -> DistanceGrid:
     """The distance grid of --grid-max and --grid-steps."""
-    grid_max = args.grid_max
-    if grid_max != "auto":
-        try:
-            grid_max = float(grid_max)
-        except ValueError:
-            raise InvalidInputError(f"--grid-max must be a number or 'auto', got {grid_max!r}")
+    try:
+        grid_max = None if args.grid_max == "auto" else float(args.grid_max)
+    except ValueError:
+        raise InvalidInputError(f"--grid-max must be a number or 'auto', got {args.grid_max!r}")
     if args.grid_steps < 2:
         raise InvalidInputError(f"--grid-steps must be >= 2, got {args.grid_steps}")
-    if grid_max == "auto":
-        return DistanceGrid.default(window, args.grid_steps)
-    if not math.isfinite(grid_max):
-        raise InvalidInputError(f"--grid-max must be finite, got {grid_max}")
-    if grid_max <= 0:
-        raise InvalidInputError(f"--grid-max must be positive, got {grid_max}")
-    return DistanceGrid(np.linspace(0.0, grid_max, args.grid_steps))
+    steps = check_count(args.grid_steps, "--grid-steps", 2)  # for its cap on sizes
+    if grid_max is None:
+        return DistanceGrid.default(window, steps)
+    grid_max = check_real(grid_max, "--grid-max", 0.0, low_open=True)
+    return DistanceGrid(np.linspace(0.0, grid_max, steps))
 
 
 def cmd_ripley(args) -> int:
@@ -357,7 +342,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_count(args) -> int:
-    units = _checked_units(args.units_per_meter)
+    units = check_real(args.units_per_meter, "units_per_meter", 0.0, low_open=True)
     detected = _read_rows(args.detected, "x,y") / units
     labeled = _read_rows(args.labeled, "x,y") / units
     report = match_counts(detected, labeled, args.match_radius)

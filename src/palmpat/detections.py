@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count, check_real
 from .geometry import Box, finite_rows, iou
 
 DEFAULT_PATCH_SIZE = 800
@@ -28,16 +28,14 @@ class TileLayout:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        x, y = self.origin
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InvalidInputError(f"origin must be finite, got ({x}, {y})")
-        object.__setattr__(self, "origin", (float(x), float(y)))
-        if self.patch_size <= 0:
-            raise InvalidInputError(f"patch_size must be positive, got {self.patch_size}")
-        if not 0 < self.stride <= self.patch_size:
+        object.__setattr__(self, "origin", tuple(check_real(v, "origin") for v in self.origin))
+        if len(self.origin) != 2:
+            raise InvalidInputError(f"origin must be an (x, y) pair, got {self.origin}")
+        for field in ("patch_size", "stride"):
+            object.__setattr__(self, field, check_count(getattr(self, field), field))
+        if self.stride > self.patch_size:
             raise InvalidInputError(
-                f"stride must be in (0, patch_size={self.patch_size}], got {self.stride}"
-            )
+                f"stride must be in (0, patch_size={self.patch_size}], got {self.stride}")
 
 
 def _raise_first(checks) -> None:
@@ -111,8 +109,7 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> np.ndarray
     """
     boxes = finite_rows(boxes, 5, "boxes")
     _raise_first(_box_checks(boxes))
-    if not 0.0 < iou_threshold <= 1.0:
-        raise InvalidInputError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    iou_threshold = check_real(iou_threshold, "iou_threshold", 0.0, 1.0, low_open=True)
     n = len(boxes)
     order = np.argsort(-boxes[:, 4], kind="stable")
     # Row k of the arrays below is the k-th box visited.
@@ -175,8 +172,7 @@ def match_counts(detected, labeled, radius: float = DEFAULT_MATCH_RADIUS) -> Mat
     each point used at most once. One k-d tree query finds the candidate
     pairs, so the cost is about O(n log n + candidate pairs).
     """
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise InvalidInputError(f"radius must be positive, got {radius}")
+    radius = check_real(radius, "radius", 0.0, low_open=True)
     detected = finite_rows(detected, 2, "detected")
     labeled = finite_rows(labeled, 2, "labeled")
     n_lab, n_det = len(labeled), len(detected)

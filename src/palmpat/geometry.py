@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInputError, check_count
+from .errors import InvalidInputError, check_count, check_real
 
 
 def finite_rows(rows, width: int, name: str) -> np.ndarray:
@@ -51,9 +51,9 @@ class Window:
     y_max: float
 
     def __post_init__(self):
+        for field in ("x_min", "y_min", "x_max", "y_max"):
+            object.__setattr__(self, field, check_real(getattr(self, field), f"window {field}"))
         bounds = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(v) for v in bounds):
-            raise InvalidInputError(f"window bounds must be finite, got {bounds}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise InvalidInputError(f"window must have positive area, got {bounds}")
         if not (math.isfinite(self.width) and math.isfinite(self.height)):

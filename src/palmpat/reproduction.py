@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pool import check_task_count, map_tasks
-from .errors import InvalidInputError, check_count
+from .errors import InvalidInputError, check_count, check_real
 from .geometry import PointPattern, Window, increasing_values
 from .ripley import DistanceGrid, f_function, g_function
 from .seeding import DEFAULT_SEED, rng_from_seed, substream_seed
@@ -58,10 +58,8 @@ class ReproductionParams:
     sigma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise InvalidInputError(f"p must be in [0, 1], got {self.p}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise InvalidInputError(f"sigma must be positive, got {self.sigma}")
+        object.__setattr__(self, "p", check_real(self.p, "p", 0.0, 1.0))
+        object.__setattr__(self, "sigma", check_real(self.sigma, "sigma", 0.0, low_open=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +84,11 @@ class SimulationDiagnostics:
 def trapezoid_integrate(xs, ys) -> float:
     """Composite trapezoid rule over strictly increasing abscissae."""
     xs = increasing_values(xs, "xs")
-    ys = np.asarray(ys, dtype=float)
-    if ys.shape != xs.shape or xs.size < 2:
+    try:
+        ys = np.asarray(ys, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        ys = None
+    if ys is None or ys.shape != xs.shape or xs.size < 2:
         raise InvalidInputError(f"need 1-D ys as long as xs, and 2+ samples; xs has {xs.size}")
     return float(np.sum((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1])) / 2.0)
 
@@ -151,7 +152,7 @@ def simulate_reproduction(
     """
     n = check_count(n, "n")  # before the split, so both paths refuse the same inputs
     rng = rng_from_seed(seed)
-    x0, y0, x1, y1 = map(float, window.lo + window.hi)
+    x0, y0, x1, y1 = window.lo + window.hi
     if sampler := load_sampler():
         pts = np.empty((n, 2))
         with rng.bit_generator.lock:
@@ -248,7 +249,7 @@ def fit(
     """
     ps, sigmas = list(p_candidates), list(sigma_candidates)
     check_task_count(len(ps) * len(sigmas) * check_count(n_trials, "n_trials"), "fit")
-    cells = [ReproductionParams(float(p), float(s)) for p in ps for s in sigmas]
+    cells = [ReproductionParams(p, s) for p in ps for s in sigmas]
     if not cells:
         raise InvalidInputError("candidate lists must be nonempty")
     n = len(observed)

@@ -96,7 +96,7 @@ def f_function(
     """
     if len(pattern) == 0:
         raise InvalidInputError("F function needs a nonempty pattern")
-    seed = check_count(seed, "seed", 0)  # before the cache, which cannot hash every bad seed
+    seed = check_count(seed, "seed", 0, None)  # before the cache, which cannot hash every bad seed
     n_ref = max(1000, len(pattern)) if n_ref is None else check_count(n_ref, "n_ref")
     dist, _ = pattern.tree.query(_references(pattern.window, n_ref, seed), k=1)
     dist.sort()  # so the order of the references cannot change a byte

@@ -19,9 +19,9 @@ DEFAULT_SEED = 0
 
 def substream_seed(master_seed: int, *counters: int) -> int:
     """Derive a child seed from ``master_seed`` and a counter tuple."""
-    ss = np.random.SeedSequence(check_count(master_seed, "seed", 0), spawn_key=tuple(counters))
+    ss = np.random.SeedSequence(check_count(master_seed, "seed", 0, None), spawn_key=counters)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.default_rng(check_count(seed, "seed", 0))
+    return np.random.default_rng(check_count(seed, "seed", 0, None))

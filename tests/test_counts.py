@@ -1,6 +1,11 @@
-"""Every count argument is read by one rule, ``errors.check_count``, and every
-increasing 1-D input (distance grids, trapezoid abscissae) by one check."""
+"""Every count argument is read by one rule, ``errors.check_count``, every
+real-valued scalar by one rule, ``errors.check_real``, and every increasing 1-D
+input (distance grids, trapezoid abscissae) by one check."""
+import argparse
 import importlib
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,10 +14,13 @@ from palmpat import (
     DistanceGrid,
     InvalidInputError,
     ReproductionParams,
+    TileLayout,
     Window,
     envelope,
     f_function,
     fit,
+    match_counts,
+    merge_nms,
     nearest_neighbor_distances,
     nn_stats,
     simulate_csr,
@@ -20,6 +28,8 @@ from palmpat import (
     substream_seed,
     trapezoid_integrate,
 )
+from palmpat.cli import cmd_count, main, parse_points_csv
+from palmpat.errors import check_count
 from palmpat.seeding import rng_from_seed
 
 reproduction = importlib.import_module("palmpat.reproduction")
@@ -49,6 +59,15 @@ COUNTS = {
 @pytest.fixture(autouse=True)
 def one_worker(monkeypatch):
     monkeypatch.setenv("PALMPAT_THREADS", "1")
+
+
+@pytest.fixture
+def in_tmp(tmp_path, monkeypatch):
+    """Run in a fresh directory that holds pts.csv and det.csv."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pts.csv").write_text("x,y\n1,2\n5,3\n2,8\n")
+    (tmp_path / "det.csv").write_text(
+        "tile_row,tile_col,x_min,y_min,x_max,y_max,confidence\n0,0,10,10,30,30,0.9\n")
 
 
 @pytest.mark.parametrize("bad", [
@@ -133,3 +152,198 @@ def test_increasing_values_copy_their_input():
     assert grid.values.tolist() == [0.0, 1.0, 2.0]
     assert not grid.values.flags.writeable
     assert trapezoid_integrate(xs, [1.0, 1.0, 1.0]) == 3.0
+
+
+@pytest.mark.parametrize("ys", [[0.0, [1.0, 2.0]], [[1.0], [2.0, 3.0]], ["a", 1.0], None])
+def test_trapezoid_refuses_ragged_or_non_numeric_ys(ys):
+    with pytest.raises(InvalidInputError, match="^need 1-D ys as long as xs, and 2"):
+        trapezoid_integrate([0.0, 1.0], ys)
+
+
+# ---------------------------------------------------------------- size cap
+
+CAP = 2**53
+
+
+@pytest.mark.parametrize("site", sorted(COUNTS))
+def test_every_size_is_capped_and_no_seed_is(site):
+    call, name, _ = COUNTS[site]
+    if name == "seed":  # substream_seed derives seeds up to 2**64 - 1
+        call(2**64 - 1)
+    else:
+        with pytest.raises(InvalidInputError,
+                           match=f"^{name} must be at most {CAP}, got {CAP + 1}$"):
+            call(CAP + 1)
+
+
+def test_the_cap_itself_is_a_valid_count():
+    assert check_count(CAP, "n") == CAP
+    assert check_count(np.uint64(CAP), "n") == CAP
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--n", str(10**20), "--window", "0", "0", "1", "1"], "n"),
+    (["simulate", "--n", str(10**20), "--window", "0", "0", "1", "1",
+      "--p", "0.5", "--sigma", "1"], "n"),
+    (["nn-stats", "--points", "pts.csv", "--bins", str(10**20)], "bins"),
+    (["ripley", "--stat", "g", "--points", "pts.csv", "--grid-steps", str(10**20)],
+     "--grid-steps"),
+    (["ripley", "--stat", "g", "--points", "pts.csv", "--grid-steps", str(10**20),
+      "--grid-max", "3"], "--grid-steps"),
+    (["ripley", "--stat", "f", "--points", "pts.csv", "--n-ref", str(10**20)], "n_ref"),
+    (["merge", "--detections", "det.csv", "--patch-size", str(10**20)], "patch_size"),
+])
+def test_cli_sizes_above_the_cap_are_one_line_data_errors(argv, message, in_tmp, capsys):
+    assert main([*argv, "--out-dir", "out"]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {message} must be at most {CAP}, got {10**20}"]
+
+
+# ---------------------------------------------------------------- real scalars
+
+BOXES = np.array([[0.0, 0.0, 2.0, 2.0, 0.9], [1.0, 0.0, 3.0, 2.0, 0.8]])
+BELOW_0, ABOVE_1 = math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)
+
+
+def _count(units):
+    return cmd_count(argparse.Namespace(units_per_meter=units, detected="pts.csv",
+                                        labeled="pts.csv", match_radius=5.0, out_dir="out"))
+
+
+# (call, the argument's name, the nearest values outside its range); call(v) passes
+# v as that argument, in the directory of ``in_tmp``
+REALS = {
+    "Window.x_min": (lambda v: Window(v, 0.0, 2.0, 2.0), "window x_min", []),
+    "Window.y_min": (lambda v: Window(0.0, v, 2.0, 2.0), "window y_min", []),
+    "Window.x_max": (lambda v: Window(-1.0, 0.0, v, 2.0), "window x_max", []),
+    "Window.y_max": (lambda v: Window(0.0, -1.0, 2.0, v), "window y_max", []),
+    "ReproductionParams.p": (lambda v: ReproductionParams(v, 1.0), "p", [BELOW_0, ABOVE_1]),
+    "ReproductionParams.sigma": (lambda v: ReproductionParams(0.5, v), "sigma", [0.0, -0.0]),
+    "fit.p": (lambda v: fit(PATTERN, [0.5, v], [5.0], 1, GRID, 50, 0), "p", [BELOW_0, ABOVE_1]),
+    "fit.sigma": (lambda v: fit(PATTERN, [0.5], [5.0, v], 1, GRID, 50, 0), "sigma", [0.0]),
+    "TileLayout.origin.x": (lambda v: TileLayout(800, 400, (v, 0.0)), "origin", []),
+    "TileLayout.origin.y": (lambda v: TileLayout(800, 400, (0.0, v)), "origin", []),
+    "merge_nms.iou_threshold": (lambda v: merge_nms(BOXES, v), "iou_threshold", [0.0, ABOVE_1]),
+    "match_counts.radius": (lambda v: match_counts(BOXES[:, :2], BOXES[:, :2], v), "radius",
+                            [0.0, BELOW_0]),
+    "parse_points_csv.units_per_meter": (lambda v: parse_points_csv("pts.csv", v),
+                                         "units_per_meter", [0.0]),
+    "count.units_per_meter": (_count, "units_per_meter", [0.0]),
+}
+
+NOT_REALS = {"str": "0.5", "None": None, "True": True, "np.True_": np.True_, "nan": math.nan,
+             "inf": math.inf, "-inf": -math.inf, "10**400": 10**400,
+             "Fraction(10**400, 3)": Fraction(10**400, 3)}
+REALS_IN_RANGE = {"np.float32": np.float32(0.5), "np.int64": np.int64(1),
+                  "Fraction": Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("site, bad", [
+    pytest.param(site, bad, id=f"{site}-{label}")
+    for site in sorted(REALS)
+    for label, bad in [*NOT_REALS.items(), *((repr(v), v) for v in REALS[site][2])]
+])
+def test_every_real_argument_refuses_a_non_real_non_finite_or_out_of_range_value(
+        site, bad, in_tmp):
+    call, name, _ = REALS[site]
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(name)} must be "):
+        call(bad)
+
+
+@pytest.mark.parametrize("good", REALS_IN_RANGE.values(), ids=REALS_IN_RANGE)
+@pytest.mark.parametrize("site", sorted(REALS))
+def test_every_real_argument_takes_numpy_scalars_and_fractions(site, good, in_tmp, capsys):
+    REALS[site][0](good)
+
+
+@pytest.mark.parametrize("good", REALS_IN_RANGE.values(), ids=REALS_IN_RANGE)
+def test_stored_reals_are_floats(good):
+    window = Window(good, good, 2, 2)
+    params = ReproductionParams(good, good)
+    layout = TileLayout(800, 400, (good, good))
+    best = fit(PATTERN, [good], [good], 1, GRID, 50, 0).best
+    stored = [window.x_min, window.y_min, window.x_max, window.y_max, params.p, params.sigma,
+              *layout.origin, best.p, best.sigma]
+    assert [type(v) for v in stored] == [float] * len(stored)
+    assert stored[-2:] == [float(good)] * 2
+
+
+def test_real_messages():
+    cases = [
+        (lambda: ReproductionParams(0.5, 0.0), "sigma must be positive and finite, got 0.0"),
+        (lambda: ReproductionParams(ABOVE_1, 1.0), "p must be in [0, 1], got 1.0000000000000002"),
+        (lambda: merge_nms(BOXES, 0.0), "iou_threshold must be in (0, 1], got 0.0"),
+        (lambda: match_counts(BOXES[:, :2], BOXES[:, :2], True),
+         "radius must be positive and finite, got True"),
+        (lambda: Window(0, 0, math.nan, 1), "window x_max must be finite, got nan"),
+        (lambda: Window(0, 0, 10**400, 1), f"window x_max must be finite, got {10**400}"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_fit_refuses_a_bool_candidate():
+    # True used to pass the p check as 1.0 and fit p=1.0
+    with pytest.raises(InvalidInputError, match=r"^p must be in \[0, 1\], got True$"):
+        fit(PATTERN, [True], [1.0], 1, GRID, 50, 0)
+
+
+def test_window_messages_print_stored_floats():
+    with pytest.raises(InvalidInputError,
+                       match=r"^window must have positive area, got \(0.0, 0.0, 0.0, 1.0\)$"):
+        Window(0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("patch, stride, name", [
+    (True, True, "patch_size"), (np.True_, 400, "patch_size"), (800.5, 400, "patch_size"),
+    (math.inf, 400, "patch_size"), ("800", 400, "patch_size"), (800.0, 400, "patch_size"),
+    (0, 400, "patch_size"), (CAP + 1, 400, "patch_size"),
+    (800, 400.0, "stride"), (800, True, "stride"), (800, 0, "stride"),
+])
+def test_tile_sizes_are_counts(patch, stride, name):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be "):
+        TileLayout(patch, stride)
+
+
+def test_tile_sizes_are_stored_as_ints():
+    layout = TileLayout(np.int64(800), np.uint32(400))
+    assert (type(layout.patch_size), type(layout.stride)) == (int, int)
+    with pytest.raises(InvalidInputError,
+                       match=r"^stride must be in \(0, patch_size=800\], got 801$"):
+        TileLayout(np.int64(800), 801)
+
+
+@pytest.mark.parametrize("origin", [(0.0, 0.0, 1.0), (0.0,), ()])
+def test_tile_origin_is_a_pair(origin):
+    with pytest.raises(InvalidInputError, match=r"^origin must be an \(x, y\) pair, got "):
+        TileLayout(800, 400, origin)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--n", "3", "--window", "0", "0", "1e400", "1"],
+     "window x_max must be finite, got inf"),
+    (["simulate", "--n", "3", "--window", "0", "0", "1", "1", "--p", "nan", "--sigma", "1"],
+     "p must be in [0, 1], got nan"),
+    (["simulate", "--n", "3", "--window", "0", "0", "1", "1", "--p", "0.5", "--sigma", "0"],
+     "sigma must be positive and finite, got 0.0"),
+    (["merge", "--detections", "det.csv", "--iou", "0"],
+     "iou_threshold must be in (0, 1], got 0.0"),
+    (["merge", "--detections", "det.csv", "--origin", "nan", "0"],
+     "origin must be finite, got nan"),
+    (["count", "--detected", "pts.csv", "--labeled", "pts.csv", "--radius", "inf"],
+     "radius must be positive and finite, got inf"),
+    (["count", "--detected", "pts.csv", "--labeled", "pts.csv", "--units-per-meter", "1e400"],
+     "units_per_meter must be positive and finite, got inf"),
+    (["ripley", "--stat", "g", "--points", "pts.csv", "--grid-max", "-1e-300"],
+     "--grid-max must be positive and finite, got -1e-300"),
+    (["ripley", "--stat", "g", "--points", "pts.csv", "--grid-max", "0"],
+     "--grid-max must be positive and finite, got 0.0"),
+])
+def test_cli_real_arguments_are_one_line_data_errors(argv, message, in_tmp, capsys):
+    assert main([*argv, "--out-dir", "out"]) == 3
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        f"error: {message}"]

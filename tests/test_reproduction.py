@@ -535,7 +535,7 @@ def test_fit_tie_goes_to_first_cell_like_the_oracle(monkeypatch):
 def test_fit_names_the_first_invalid_cell():
     window = Window(0.0, 0.0, 100.0, 100.0)
     observed = simulate_csr(window, 20, seed=1)
-    with pytest.raises(InvalidInputError, match="sigma must be positive, got -1.0"):
+    with pytest.raises(InvalidInputError, match="sigma must be positive and finite, got -1.0"):
         fit(observed, [0.5, 2.0], [-1.0], n_trials=1, seed=0)
     with pytest.raises(InvalidInputError, match=r"p must be in \[0, 1\], got 2.0"):
         fit(observed, [0.5, 2.0], [1.0], n_trials=1, seed=0)
