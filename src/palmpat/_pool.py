@@ -12,18 +12,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_count
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 ENV_WORKERS = "PALMPAT_THREADS"
 MAX_TASKS = 10**6  # per call; each task's seed takes about 11 us before any worker starts
-
-
-def check_task_count(count: int, what: str) -> None:
-    if count > MAX_TASKS:
-        raise InvalidInputError(f"{what} asks for {count} tasks, above the cap of {MAX_TASKS}")
 
 
 def resolve_workers() -> int:
@@ -33,9 +28,7 @@ def resolve_workers() -> int:
         workers = int(raw)
     except ValueError:
         raise InvalidInputError(f"{ENV_WORKERS} must be an integer, got {raw!r}")
-    if workers < 0:
-        raise InvalidInputError(f"{ENV_WORKERS} must be >= 0, got {workers}")
-    return workers or os.cpu_count() or 1
+    return check_count(workers, ENV_WORKERS, 0) or os.cpu_count() or 1
 
 
 def map_tasks(fn: Callable[[_T], _R], tasks: Sequence[_T]) -> list[_R]:

@@ -268,9 +268,7 @@ def _grid(args, window: Window) -> DistanceGrid:
         grid_max = None if args.grid_max == "auto" else float(args.grid_max)
     except ValueError:
         raise InvalidInputError(f"--grid-max must be a number or 'auto', got {args.grid_max!r}")
-    if args.grid_steps < 2:
-        raise InvalidInputError(f"--grid-steps must be >= 2, got {args.grid_steps}")
-    steps = check_count(args.grid_steps, "--grid-steps", 2)  # for its cap on sizes
+    steps = check_count(args.grid_steps, "--grid-steps", 2)
     if grid_max is None:
         return DistanceGrid.default(window, steps)
     grid_max = check_real(grid_max, "--grid-max", 0.0, low_open=True)

@@ -28,14 +28,12 @@ class TileLayout:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(check_real(v, "origin") for v in self.origin))
-        if len(self.origin) != 2:
+        origin = tuple(self.origin) if np.iterable(self.origin) else ()
+        if len(origin) != 2:
             raise InvalidInputError(f"origin must be an (x, y) pair, got {self.origin}")
-        for field in ("patch_size", "stride"):
-            object.__setattr__(self, field, check_count(getattr(self, field), field))
-        if self.stride > self.patch_size:
-            raise InvalidInputError(
-                f"stride must be in (0, patch_size={self.patch_size}], got {self.stride}")
+        object.__setattr__(self, "origin", tuple(check_real(v, "origin") for v in origin))
+        object.__setattr__(self, "patch_size", check_count(self.patch_size, "patch_size"))
+        object.__setattr__(self, "stride", check_count(self.stride, "stride", most=self.patch_size))
 
 
 def _raise_first(checks) -> None:

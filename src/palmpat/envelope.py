@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import check_task_count, map_tasks
+from ._pool import MAX_TASKS, map_tasks
 from .errors import InvalidInputError, check_count
 from .geometry import PointPattern, Window
 from .ripley import DistanceGrid, statistic_curve
@@ -70,8 +70,7 @@ def envelope(
     n_ref: int | None = None,
 ) -> EnvelopeResult:
     """Compare a pattern's statistic against m conditional CSR simulations."""
-    m = check_count(m, "m", 19)  # the fewest simulations for a 95% band
-    check_task_count(m, "envelope")
+    m = check_count(m, "m", 19, MAX_TASKS)  # 19: the fewest simulations for a 95% band
     n = len(pattern)
     if n < 2:
         raise InvalidInputError(f"envelope test needs at least 2 points, got {n}")

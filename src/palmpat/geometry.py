@@ -154,8 +154,7 @@ def nearest_neighbor_distances(pattern: PointPattern, k: int = 1) -> np.ndarray:
     n = len(pattern)
     if n < 2:
         raise InvalidInputError(f"nearest-neighbor query needs at least 2 points, got {n}")
-    if check_count(k, "k") > n - 1:
-        raise InvalidInputError(f"k must be in [1, {n - 1}], got {k}")
+    check_count(k, "k", most=n - 1)
     dist, _ = pattern.tree.query(pattern.coords, k=k + 1)
     # Column 0 is the point itself, or a tied zero among coincident points.
     return np.ascontiguousarray(dist[:, 1:])

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import check_task_count, map_tasks
+from ._pool import MAX_TASKS, map_tasks
 from .errors import InvalidInputError, check_count, check_real
 from .geometry import PointPattern, Window, increasing_values
 from .ripley import DistanceGrid, f_function, g_function
@@ -248,13 +248,12 @@ def fit(
     trial's F reads it.
     """
     ps, sigmas = list(p_candidates), list(sigma_candidates)
-    check_task_count(len(ps) * len(sigmas) * check_count(n_trials, "n_trials"), "fit")
+    check_count(len(ps) * len(sigmas) * check_count(n_trials, "n_trials"), "fit task count", 0,
+                MAX_TASKS)
     cells = [ReproductionParams(p, s) for p in ps for s in sigmas]
     if not cells:
         raise InvalidInputError("candidate lists must be nonempty")
     n = len(observed)
-    if n < 2:
-        raise InvalidInputError(f"fit needs at least 2 observed points, got {n}")
     if grid is None:
         grid = DistanceGrid.default(observed.window)
 

@@ -19,7 +19,8 @@ DEFAULT_SEED = 0
 
 def substream_seed(master_seed: int, *counters: int) -> int:
     """Derive a child seed from ``master_seed`` and a counter tuple."""
-    ss = np.random.SeedSequence(check_count(master_seed, "seed", 0, None), spawn_key=counters)
+    key = [check_count(c, "counter", 0, None) for c in counters]
+    ss = np.random.SeedSequence(check_count(master_seed, "seed", 0, None), spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import os
@@ -223,7 +224,7 @@ def test_crashed_worker_is_one_line_data_error(points_csv, tmp_path, capsys, mon
 
 @pytest.mark.parametrize("threads, message", [
     ("abc", "PALMPAT_THREADS must be an integer, got 'abc'"),
-    ("-1", "PALMPAT_THREADS must be >= 0, got -1"),
+    ("-1", "PALMPAT_THREADS must be an integer >= 0, got -1"),
 ])
 @pytest.mark.parametrize("argv", [
     ["envelope", "--stat", "g", "--m", "19"],
@@ -243,8 +244,8 @@ def _not_before_the_cap(*args):
 
 
 @pytest.mark.parametrize("argv, what", [
-    (["fit", "--p", "0.5", "--sigma", "2", "--trials", "1000001"], "fit"),
-    (["envelope", "--stat", "g", "--m", "1000001"], "envelope"),
+    (["fit", "--p", "0.5", "--sigma", "2", "--trials", "1000001"], "fit task count"),
+    (["envelope", "--stat", "g", "--m", "1000001"], "m"),
 ])
 def test_task_cap_is_one_line_data_error(argv, what, points_csv, tmp_path, capsys, monkeypatch):
     for module in ("palmpat.reproduction", "palmpat.envelope"):
@@ -252,7 +253,7 @@ def test_task_cap_is_one_line_data_error(argv, what, points_csv, tmp_path, capsy
                             _not_before_the_cap)
     code = main([*argv, "--points", points_csv, "--out-dir", str(tmp_path)])
     captured = capsys.readouterr()
-    message = f"error: {what} asks for 1000001 tasks, above the cap of 1000000\n"
+    message = f"error: {what} must be at most 1000000, got 1000001\n"
     assert (code, captured.out, captured.err) == (3, "", message)
 
 
@@ -713,7 +714,7 @@ def check_cli_golden(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option, message", [
-    (["--grid-steps", "1"], "--grid-steps must be >= 2, got 1"),
+    (["--grid-steps", "1"], "--grid-steps must be an integer >= 2, got 1"),
     (["--grid-max", "abc"], "--grid-max must be a number or 'auto', got 'abc'"),
     (["--grid-max", "-1"], "--grid-max must be positive and finite, got -1.0"),
     (["--grid-max", "inf"], "--grid-max must be positive and finite, got inf"),
@@ -884,3 +885,146 @@ def test_golden_outputs_do_not_follow_numpy_print_options(tmp_path, capsys):
         for mode in ("tiled", "global"):
             check_merge_golden(mode, fresh(mode), capsys)
         check_count_golden(fresh("count"), capsys)
+
+
+# ---------------------------------------------------------------- CLI surface
+
+# Every parser's actions in order, each as (option strings, dest, default, nargs,
+# required, choices, type name, help). Unlike the text of --help, this does not
+# depend on the Python version.
+CLI_SURFACE = {
+    'palmpat': [
+        (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
+         'show this help message and exit'),
+        ((), 'command', None, 'A...', True,
+         ['ripley', 'envelope', 'simulate', 'fit', 'merge', 'count', 'nn-stats'], None, None),
+    ],
+    'ripley': [
+        (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
+         'show this help message and exit'),
+        (('--seed',), 'seed', 0, None, False, None, 'int', 'master RNG seed (default 0)'),
+        (('--out-dir',), 'out_dir', '.', None, False, None, None, 'output directory (default .)'),
+        (('--points',), 'points', None, None, True, None, None, 'points CSV with header x,y'),
+        (('--units-per-meter',), 'units_per_meter', 1.0, None, False, None, 'float',
+         'input units per meter; coordinates are divided by this (default 1)'),
+        (('--window',), 'window', None, 4, False, None, 'float',
+         "observation window in input units (default: points' bounding box)"),
+        (('--grid-max',), 'grid_max', 'auto', None, False, None, None,
+         "largest grid distance, or 'auto' for half the shorter window side"),
+        (('--grid-steps',), 'grid_steps', 100, None, False, None, 'int',
+         'number of grid distances (default 100)'),
+        (('--n-ref',), 'n_ref', None, None, False, None, 'int',
+         'reference points for F (default max(1000, n))'),
+        (('--stat',), 'stat', None, None, True, ['g', 'f', 'j'], None, 'statistic: G, F or J'),
+        (('--svg',), 'svg', False, 0, False, None, None, 'also write an SVG line chart'),
+    ],
+    'envelope': [
+        (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
+         'show this help message and exit'),
+        (('--seed',), 'seed', 0, None, False, None, 'int', 'master RNG seed (default 0)'),
+        (('--out-dir',), 'out_dir', '.', None, False, None, None, 'output directory (default .)'),
+        (('--points',), 'points', None, None, True, None, None, 'points CSV with header x,y'),
+        (('--units-per-meter',), 'units_per_meter', 1.0, None, False, None, 'float',
+         'input units per meter; coordinates are divided by this (default 1)'),
+        (('--window',), 'window', None, 4, False, None, 'float',
+         "observation window in input units (default: points' bounding box)"),
+        (('--grid-max',), 'grid_max', 'auto', None, False, None, None,
+         "largest grid distance, or 'auto' for half the shorter window side"),
+        (('--grid-steps',), 'grid_steps', 100, None, False, None, 'int',
+         'number of grid distances (default 100)'),
+        (('--n-ref',), 'n_ref', None, None, False, None, 'int',
+         'reference points for F (default max(1000, n))'),
+        (('--stat',), 'stat', None, None, True, ['g', 'f', 'j'], None, 'statistic: G, F or J'),
+        (('--m',), 'envelope_m', 199, None, False, None, 'int',
+         'number of CSR simulations (default 199)'),
+        (('--svg',), 'svg', False, 0, False, None, None, 'also write an SVG line chart'),
+    ],
+    'simulate': [
+        (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
+         'show this help message and exit'),
+        (('--seed',), 'seed', 0, None, False, None, 'int', 'master RNG seed (default 0)'),
+        (('--out-dir',), 'out_dir', '.', None, False, None, None, 'output directory (default .)'),
+        (('--n',), 'n', None, None, True, None, 'int', 'number of points'),
+        (('--window',), 'window', None, 4, True, None, 'float', 'window to fill with points'),
+        (('--p',), 'p', None, None, False, None, 'float', 'clustering probability (omit for CSR)'),
+        (('--sigma',), 'sigma', None, None, False, None, 'float',
+         'Gaussian offspring spread (omit for CSR)'),
+    ],
+    'fit': [
+        (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
+         'show this help message and exit'),
+        (('--seed',), 'seed', 0, None, False, None, 'int', 'master RNG seed (default 0)'),
+        (('--out-dir',), 'out_dir', '.', None, False, None, None, 'output directory (default .)'),
+        (('--points',), 'points', None, None, True, None, None, 'points CSV with header x,y'),
+        (('--units-per-meter',), 'units_per_meter', 1.0, None, False, None, 'float',
+         'input units per meter; coordinates are divided by this (default 1)'),
+        (('--window',), 'window', None, 4, False, None, 'float',
+         "observation window in input units (default: points' bounding box)"),
+        (('--grid-max',), 'grid_max', 'auto', None, False, None, None,
+         "largest grid distance, or 'auto' for half the shorter window side"),
+        (('--grid-steps',), 'grid_steps', 100, None, False, None, 'int',
+         'number of grid distances (default 100)'),
+        (('--n-ref',), 'n_ref', None, None, False, None, 'int',
+         'reference points for F (default max(1000, n))'),
+        (('--p',), 'p', None, None, True, None, None, 'candidates, NUMBER or START:STOP:STEP'),
+        (('--sigma',), 'sigma', None, None, True, None, None,
+         'candidates, NUMBER or START:STOP:STEP'),
+        (('--trials',), 'n_trials', 10, None, False, None, 'int',
+         'simulations per candidate pair (default 10)'),
+    ],
+    'merge': [
+        (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
+         'show this help message and exit'),
+        (('--seed',), 'seed', 0, None, False, None, 'int', 'master RNG seed (default 0)'),
+        (('--out-dir',), 'out_dir', '.', None, False, None, None, 'output directory (default .)'),
+        (('--detections',), 'detections', None, None, True, None, None, 'detections CSV'),
+        (('--global',), 'global_coords', False, 0, False, None, None,
+         'detections are already in global coordinates'),
+        (('--patch-size',), 'patch_size', 800, None, False, None, 'int',
+         "tile side, in the detections' units (default 800)"),
+        (('--stride',), 'stride', 400, None, False, None, 'int',
+         'offset between neighbouring tiles (default 400)'),
+        (('--origin',), 'origin', (0.0, 0.0), 2, False, None, 'float',
+         'global (x, y) where tile (0, 0) starts (default 0 0)'),
+        (('--iou',), 'iou_threshold', 0.5, None, False, None, 'float',
+         'NMS IoU threshold (default 0.5)'),
+    ],
+    'count': [
+        (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
+         'show this help message and exit'),
+        (('--seed',), 'seed', 0, None, False, None, 'int', 'master RNG seed (default 0)'),
+        (('--out-dir',), 'out_dir', '.', None, False, None, None, 'output directory (default .)'),
+        (('--detected',), 'detected', None, None, True, None, None, 'detected centers CSV (x,y)'),
+        (('--labeled',), 'labeled', None, None, True, None, None, 'labeled centers CSV (x,y)'),
+        (('--radius',), 'match_radius', 5.0, None, False, None, 'float',
+         'match radius in meters (default 5.0)'),
+        (('--units-per-meter',), 'units_per_meter', 1.0, None, False, None, 'float',
+         'input units per meter; coordinates are divided by this (default 1)'),
+    ],
+    'nn-stats': [
+        (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
+         'show this help message and exit'),
+        (('--seed',), 'seed', 0, None, False, None, 'int', 'master RNG seed (default 0)'),
+        (('--out-dir',), 'out_dir', '.', None, False, None, None, 'output directory (default .)'),
+        (('--points',), 'points', None, None, True, None, None, 'points CSV with header x,y'),
+        (('--units-per-meter',), 'units_per_meter', 1.0, None, False, None, 'float',
+         'input units per meter; coordinates are divided by this (default 1)'),
+        (('--window',), 'window', None, 4, False, None, 'float',
+         "observation window in input units (default: points' bounding box)"),
+        (('--k',), 'k', 5, None, False, None, 'int', 'neighbors per point (default 5)'),
+        (('--bins',), 'bins', 30, None, False, None, 'int', 'histogram bins (default 30)'),
+    ],
+}
+
+
+def _surface(parser):
+    return [(tuple(a.option_strings), a.dest, a.default, a.nargs, a.required,
+             None if a.choices is None else list(a.choices),
+             getattr(a.type, "__name__", None), a.help) for a in parser._actions]
+
+
+def test_cli_surface_is_unchanged():
+    parser = palmpat.cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {"palmpat": _surface(parser), **{n: _surface(p) for n, p in subs.choices.items()}}
+    assert got == CLI_SURFACE

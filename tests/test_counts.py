@@ -2,8 +2,10 @@
 real-valued scalar by one rule, ``errors.check_real``, and every increasing 1-D
 input (distance grids, trapezoid abscissae) by one check."""
 import argparse
+import contextlib
 import importlib
 import math
+import os
 import re
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from palmpat import (
     substream_seed,
     trapezoid_integrate,
 )
+from palmpat._pool import MAX_TASKS, resolve_workers
 from palmpat.cli import cmd_count, main, parse_points_csv
 from palmpat.errors import check_count
 from palmpat.seeding import rng_from_seed
@@ -164,16 +167,67 @@ def test_trapezoid_refuses_ragged_or_non_numeric_ys(ys):
 
 CAP = 2**53
 
+# (call, the count's name, the site's own cap below 2**53); call(v) passes v as that count
+OWN_CAPS = {
+    "envelope.m": (COUNTS["envelope.m"][0], "m", MAX_TASKS),
+    "fit task count": (COUNTS["fit.n_trials"][0], "fit task count", MAX_TASKS),
+    "nearest_neighbor_distances.k": (COUNTS["nearest_neighbor_distances.k"][0], "k",
+                                     len(PATTERN) - 1),
+    "nn_stats.k": (COUNTS["nn_stats.k"][0], "k", len(PATTERN) - 1),
+    "TileLayout.stride": (lambda v: TileLayout(800, v), "stride", 800),
+}
+
 
 @pytest.mark.parametrize("site", sorted(COUNTS))
 def test_every_size_is_capped_and_no_seed_is(site):
     call, name, _ = COUNTS[site]
+    cap = OWN_CAPS[site][2] if site in OWN_CAPS else CAP
     if name == "seed":  # substream_seed derives seeds up to 2**64 - 1
         call(2**64 - 1)
     else:
         with pytest.raises(InvalidInputError,
-                           match=f"^{name} must be at most {CAP}, got {CAP + 1}$"):
-            call(CAP + 1)
+                           match=f"^{name} must be at most {cap}, got {cap + 1}$"):
+            call(cap + 1)
+
+
+class _SeedReached(Exception):
+    """Raised in place of the first seed derivation, once every count check has passed."""
+
+
+def _seed_reached(*args):
+    raise _SeedReached
+
+
+@pytest.mark.parametrize("site", sorted(OWN_CAPS))
+def test_each_own_cap_is_allowed_and_one_above_it_is_not(site, monkeypatch):
+    # a fit or envelope at the task cap stops at its first seed instead of running
+    for module in ("palmpat.reproduction", "palmpat.envelope"):
+        monkeypatch.setattr(importlib.import_module(module), "substream_seed", _seed_reached)
+    call, name, cap = OWN_CAPS[site]
+    with pytest.raises(InvalidInputError, match=f"^{name} must be at most {cap}, got {cap + 1}$"):
+        call(cap + 1)
+    with contextlib.suppress(_SeedReached):
+        call(cap)
+
+
+def test_thread_count_is_a_count_and_zero_means_one_worker_per_cpu(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "0")
+    assert resolve_workers() == (os.cpu_count() or 1)
+    monkeypatch.setenv("PALMPAT_THREADS", "-1")
+    with pytest.raises(InvalidInputError,
+                       match=r"^PALMPAT_THREADS must be an integer >= 0, got -1$"):
+        resolve_workers()
+
+
+@pytest.mark.parametrize("counter", [-1, 1.5, True, "1"])
+def test_substream_counters_are_counts(counter):
+    with pytest.raises(InvalidInputError,
+                       match=f"^counter must be an integer >= 0, got {re.escape(repr(counter))}$"):
+        substream_seed(0, 1, counter)
+
+
+def test_substream_counters_reach_the_largest_uint64():
+    assert substream_seed(0, np.uint64(2**64 - 1)) == substream_seed(0, 2**64 - 1)
 
 
 def test_the_cap_itself_is_a_valid_count():
@@ -312,13 +366,14 @@ def test_tile_sizes_are_stored_as_ints():
     layout = TileLayout(np.int64(800), np.uint32(400))
     assert (type(layout.patch_size), type(layout.stride)) == (int, int)
     with pytest.raises(InvalidInputError,
-                       match=r"^stride must be in \(0, patch_size=800\], got 801$"):
+                       match=r"^stride must be at most 800, got 801$"):
         TileLayout(np.int64(800), 801)
 
 
-@pytest.mark.parametrize("origin", [(0.0, 0.0, 1.0), (0.0,), ()])
+@pytest.mark.parametrize("origin", [(0.0, 0.0, 1.0), (0.0,), (), 5, None])
 def test_tile_origin_is_a_pair(origin):
-    with pytest.raises(InvalidInputError, match=r"^origin must be an \(x, y\) pair, got "):
+    with pytest.raises(InvalidInputError,
+                       match=rf"^origin must be an \(x, y\) pair, got {re.escape(str(origin))}$"):
         TileLayout(800, 400, origin)
 
 

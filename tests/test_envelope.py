@@ -12,7 +12,8 @@ from palmpat import (
     envelope,
     simulate_csr,
 )
-from palmpat._pool import MAX_TASKS, check_task_count
+from palmpat._pool import MAX_TASKS
+from palmpat.errors import check_count
 
 WINDOW = Window(0.0, 0.0, 100.0, 100.0)
 
@@ -106,9 +107,10 @@ def test_envelope_refuses_more_simulations_than_the_task_cap_before_any_seed(mon
     # the package's ``envelope`` attribute is the function, not the module
     monkeypatch.setattr(importlib.import_module("palmpat.envelope"), "substream_seed", no_seed)
     p = simulate_csr(WINDOW, 20, seed=1)
-    with pytest.raises(InvalidInputError, match=f"above the cap of {MAX_TASKS}"):
+    with pytest.raises(InvalidInputError,
+                       match=f"^m must be at most {MAX_TASKS}, got {MAX_TASKS + 1}$"):
         envelope(p, DistanceGrid.default(WINDOW, 10), "G", m=MAX_TASKS + 1, seed=0)
-    check_task_count(MAX_TASKS, "envelope")  # the cap itself is allowed
+    assert check_count(MAX_TASKS, "m", 19, MAX_TASKS) == MAX_TASKS  # the cap itself is allowed
 
 
 def test_envelope_rejects_unknown_statistic():

@@ -565,5 +565,5 @@ def test_fit_refuses_more_tasks_than_the_cap_before_any_seed_or_cell(ps, sigmas,
     observed = simulate_csr(Window(0.0, 0.0, 100.0, 100.0), 20, seed=1)
     count = len(ps) * len(sigmas) * n_trials
     with pytest.raises(InvalidInputError,
-                       match=f"fit asks for {count} tasks, above the cap of {MAX_TASKS}"):
+                       match=f"^fit task count must be at most {MAX_TASKS}, got {count}$"):
         fit(observed, ps, sigmas, n_trials=n_trials)
