@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import _native
 from .errors import InvalidInputError, check_count, check_real
 
 
@@ -109,13 +110,18 @@ class PointPattern:
     @cached_property
     def tree(self) -> cKDTree:
         """The k-d tree on ``coords``, built on first use and shared by every
-        statistic of this pattern; refused for a window side outside [1e-150,
-        1e150], where squared distances overflow or turn subnormal."""
-        sides = (self.window.width, self.window.height)
-        if not 1e-150 <= min(sides) <= max(sides) <= 1e150:
-            raise InvalidInputError(f"window sides {sides} lie outside [1e-150, 1e150]; "
-                                    "rescale the coordinates")
+        statistic of this pattern (see ``check_distance_scale``)."""
+        check_distance_scale(self.window)
         return cKDTree(self.coords)
+
+
+def check_distance_scale(window: Window) -> None:
+    """Refuse a window side outside [1e-150, 1e150], where squared distances
+    overflow or turn subnormal; both nearest-neighbour paths pass through here."""
+    sides = (window.width, window.height)
+    if not 1e-150 <= min(sides) <= max(sides) <= 1e150:
+        raise InvalidInputError(f"window sides {sides} lie outside [1e-150, 1e150]; "
+                                "rescale the coordinates")
 
 
 class Box(NamedTuple):
@@ -147,14 +153,52 @@ def nearest_neighbor_distances(pattern: PointPattern, k: int = 1) -> np.ndarray:
     """Per-point distances to the k nearest other points, ascending.
 
     Returns an (n, k) array; row i holds the k smallest distances from
-    point i to the remaining points. Exact: the k-d tree is only an
-    accelerator and matches the all-pairs answer. Coincident points yield
-    zero distances.
+    point i to the remaining points. Exact, and coincident points yield zero
+    distances. At k = 1 the compiled grid kernel of ``nearest_distances``
+    answers, with the k-d tree ``pattern.tree`` as its fallback; the tree
+    answers every k > 1. Both give the all-pairs answer, byte for byte.
     """
     n = len(pattern)
     if n < 2:
         raise InvalidInputError(f"nearest-neighbor query needs at least 2 points, got {n}")
     check_count(k, "k", most=n - 1)
+    if k == 1:
+        return nearest_distances(pattern)[:, None]
     dist, _ = pattern.tree.query(pattern.coords, k=k + 1)
     # Column 0 is the point itself, or a tied zero among coincident points.
     return np.ascontiguousarray(dist[:, 1:])
+
+
+def nearest_distances(pattern: PointPattern, queries: np.ndarray | None = None) -> np.ndarray:
+    """The distance from each query row to the nearest point of ``pattern``, or
+    with no queries from each point to its nearest other point (n >= 2).
+
+    The compiled grid kernel answers first (``grid_distances``); the k-d tree
+    answers when the library cannot load or the kernel gives up on a tight
+    cluster. Both compute ``sqrt(dx*dx + dy*dy)`` exactly alike, so the bytes
+    are the same either way.
+    """
+    check_distance_scale(pattern.window)
+    dist = grid_distances(pattern, queries)
+    if dist is not None:
+        return dist
+    if queries is None:  # column 0 is the point itself, or a tied zero
+        return pattern.tree.query(pattern.coords, k=2)[0][:, 1].copy()
+    return pattern.tree.query(queries, k=1)[0]
+
+
+def grid_distances(pattern: PointPattern, queries: np.ndarray | None = None):
+    """``nearest_distances`` by the compiled grid kernel alone; None when the
+    library cannot load or the kernel passes its work budget."""
+    lib = _native.load()
+    if lib is None:
+        return None
+    if queries is not None:  # the kernel reads C-contiguous float rows
+        queries = np.ascontiguousarray(finite_rows(queries, 2, "queries"))
+    m = len(pattern) if queries is None else len(queries)
+    dist = np.empty(m)
+    w = pattern.window
+    status = lib.nearest_distances(
+        pattern.coords.ctypes.data, len(pattern), None if queries is None else queries.ctypes.data,
+        m, w.x_min, w.y_min, w.x_max, w.y_max, dist.ctypes.data)
+    return dist if status == 0 else None

@@ -32,11 +32,11 @@ execution order.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from ._pool import MAX_TASKS, map_tasks
 from .errors import InvalidInputError, check_count, check_real
 from .geometry import PointPattern, Window, increasing_values
@@ -47,7 +47,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TRIALS = 10
 MAX_GAUSSIAN_ATTEMPTS = 1000
-_sampler = None  # the compiled sampler once loaded, False once it failed (forces the loop)
 
 
 @dataclass(frozen=True)
@@ -93,44 +92,6 @@ def trapezoid_integrate(xs, ys) -> float:
     return float(np.sum((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1])) / 2.0)
 
 
-def load_sampler():
-    """The compiled ``_sampler.c``, built with ``cc`` into a private cache on
-    first use and loaded once per process; None when it cannot be (logged once).
-    A build deletes the cache's other libraries, never a build in progress."""
-    global _sampler
-    if _sampler is None:
-        import contextlib, ctypes, hashlib, stat, subprocess, tempfile
-        from pathlib import Path
-        try:
-            src = Path(__file__).with_name("_sampler.c")
-            flags = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", f"-I{np.get_include()}"]
-            key = hashlib.sha256(repr((src.read_bytes(), np.__version__, flags)).encode())
-            cache = Path(tempfile.gettempdir(), f"palmpat-{os.getuid()}")
-            cache.mkdir(mode=0o700, exist_ok=True)
-            st = cache.lstat()  # another user must not be able to plant the library
-            if st.st_uid != os.getuid() or st.st_mode & 0o022 or not stat.S_ISDIR(st.st_mode):
-                raise OSError(f"cache {cache} is not a directory private to this user")
-            lib = cache / f"sampler-{key.hexdigest()[:32]}.so"
-            if not lib.exists():  # a temporary name, then os.replace: racing builds are safe
-                tmp = f"{lib}.{os.getpid()}.tmp"
-                npyrandom = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
-                subprocess.run(["cc", *flags, src, npyrandom, "-lm", "-o", tmp],
-                               check=True, capture_output=True)
-                os.replace(tmp, lib)
-                for stale in set(cache.glob("sampler-*.so")) - {lib}:  # not *.tmp
-                    with contextlib.suppress(OSError):
-                        stale.unlink()
-            fn = ctypes.CDLL(str(lib)).sample_reproduction
-            fn.restype = ctypes.c_int64
-            fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_double] * 6,
-                           ctypes.c_int64, ctypes.c_void_p]
-            _sampler = fn
-        except (OSError, subprocess.SubprocessError, AttributeError) as exc:  # use the loop
-            logger.warning("compiled sampler unavailable, using the scalar loop: %s", exc)
-            _sampler = False
-    return _sampler or None
-
-
 def simulate_reproduction(
     window: Window,
     n: int,
@@ -145,7 +106,7 @@ def simulate_reproduction(
     uniform point and the event is counted in ``diagnostics`` (and logged).
     With p=0 the output is exactly a binomial/CSR pattern.
 
-    The C loop of ``load_sampler`` or, if it cannot load, the same loop on Python
+    The C loop of ``_native.load()`` or, if it cannot load, the same loop on Python
     floats: both make the numpy array loop's generator calls in its order
     (``uniform(lo, hi)`` = ``lo + (hi - lo) * random(2)``), so the same bytes. Per
     n=1500 call on a 2-core x86 host: C 0.1-0.2 ms, floats 7-11 ms, array loop 19-29 ms.
@@ -153,12 +114,12 @@ def simulate_reproduction(
     n = check_count(n, "n")  # before the split, so both paths refuse the same inputs
     rng = rng_from_seed(seed)
     x0, y0, x1, y1 = window.lo + window.hi
-    if sampler := load_sampler():
+    if lib := _native.load():
         pts = np.empty((n, 2))
         with rng.bit_generator.lock:
-            fallbacks = sampler(rng.bit_generator.ctypes.bit_generator.value, n, x0, y0, x1,
-                                y1, params.p, params.sigma, MAX_GAUSSIAN_ATTEMPTS,
-                                pts.ctypes.data)
+            fallbacks = lib.sample_reproduction(
+                rng.bit_generator.ctypes.bit_generator.value, n, x0, y0, x1, y1, params.p,
+                params.sigma, MAX_GAUSSIAN_ATTEMPTS, pts.ctypes.data)
     else:
         pts, fallbacks = _scalar_reproduction(rng, n, x0, y0, x1, y1, params.p, params.sigma)
     if fallbacks:
@@ -258,7 +219,7 @@ def fit(
         grid = DistanceGrid.default(observed.window)
 
     f_seed = substream_seed(seed, 0)
-    obs_g = g_function(observed, grid)
+    obs_g = g_function(observed, grid)  # loads the compiled library before map_tasks forks
     obs_f = f_function(observed, grid, n_ref, f_seed)
 
     tasks = [
@@ -267,7 +228,6 @@ def fit(
         for k, params in enumerate(cells)
         for t in range(n_trials)
     ]
-    load_sampler()  # before map_tasks forks, so every worker inherits the loaded library
     d = np.reshape(map_tasks(_trial_discrepancy, tasks), (len(cells), n_trials))
     d_total = np.array([sum(row) for row in d.tolist()])  # numpy's sum can differ
     k = int(np.argmin(d_total))

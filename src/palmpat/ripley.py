@@ -17,7 +17,11 @@ are always compared with the same estimator:
   a fit reads one set, ordered in 16 horizontal strips of the window and by
   x within each for faster queries; F sorts the reference distances, so
   their order cannot change a byte.
-* Each pattern's statistics share one k-d tree, ``pattern.tree`` (sides 1e-150 to 1e150).
+* G's nearest-neighbour distances and F's reference distances come from the
+  compiled grid kernel of ``geometry.nearest_distances`` first. The pattern's
+  one k-d tree, ``pattern.tree``, answers when the library cannot load, when
+  the kernel gives up on a tight cluster, and for ``nn_stats`` at k > 1; both
+  give the same bytes. Either way the window's sides must lie in [1e-150, 1e150].
 * J is left undefined (NaN) wherever F(d) == 1.
 """
 from __future__ import annotations
@@ -28,7 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, check_count
-from .geometry import PointPattern, Window, increasing_values, nearest_neighbor_distances
+from .geometry import (PointPattern, Window, increasing_values, nearest_distances,
+                       nearest_neighbor_distances)
 from .seeding import DEFAULT_SEED, rng_from_seed
 
 DEFAULT_GRID_STEPS = 100
@@ -98,7 +103,7 @@ def f_function(
         raise InvalidInputError("F function needs a nonempty pattern")
     seed = check_count(seed, "seed", 0, None)  # before the cache, which cannot hash every bad seed
     n_ref = max(1000, len(pattern)) if n_ref is None else check_count(n_ref, "n_ref")
-    dist, _ = pattern.tree.query(_references(pattern.window, n_ref, seed), k=1)
+    dist = nearest_distances(pattern, _references(pattern.window, n_ref, seed))
     dist.sort()  # so the order of the references cannot change a byte
     return _empirical_cdf(dist, grid)
 

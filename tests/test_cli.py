@@ -266,7 +266,7 @@ def test_task_cap_is_one_line_data_error(argv, what, points_csv, tmp_path, capsy
     ["nn-stats", "--k", "1"],
 ], ids=["ripley-g", "ripley-f", "envelope", "fit", "nn-stats"])
 def test_window_outside_the_distance_scale_is_one_line_data_error(argv, side, tmp_path,
-                                                                  capsys):
+                                                                  capsys, nn_path):
     s = float(side)
     points = write(tmp_path / "pts.csv", f"x,y\n0,0\n{s},{s}\n{s / 2},{s / 4}\n")
     window = ["--window", "0", "0", side, side]

@@ -8,6 +8,7 @@ import math
 import os
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from palmpat.cli import cmd_count, main, parse_points_csv
 from palmpat.errors import check_count
 from palmpat.seeding import rng_from_seed
 
+native = importlib.import_module("palmpat._native")
 reproduction = importlib.import_module("palmpat.reproduction")
 
 WINDOW = Window(0.0, 0.0, 100.0, 100.0)
@@ -113,9 +115,10 @@ def test_nn_stats_refuses_a_fractional_k():
 def test_simulate_reproduction_refuses_a_bool_count_on_both_sampler_paths(path, monkeypatch):
     calls = []
     if path == "compiled":
-        monkeypatch.setattr(reproduction, "_sampler", lambda *args: calls.append(args) or 0)
+        monkeypatch.setattr(native, "_lib", SimpleNamespace(
+            sample_reproduction=lambda *args: calls.append(args) or 0))
     else:
-        monkeypatch.setattr(reproduction, "_sampler", False)
+        monkeypatch.setattr(native, "_lib", False)
         monkeypatch.setattr(reproduction, "_scalar_reproduction",
                             lambda *args: calls.append(args) or ([], 0))
     with pytest.raises(InvalidInputError, match="^n must be a positive integer, got True$"):

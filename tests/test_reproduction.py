@@ -42,6 +42,7 @@ from oracles import (
 )
 
 reproduction = importlib.import_module("palmpat.reproduction")
+native = importlib.import_module("palmpat._native")
 ripley = importlib.import_module("palmpat.ripley")
 
 
@@ -59,12 +60,12 @@ def compiled_sampler():
     missing = compiled_sampler_missing()
     if missing:
         pytest.skip(f"the compiled sampler cannot be built: {missing}")
-    assert reproduction.load_sampler() is not None
+    assert native.load() is not None
 
 
 @pytest.fixture
 def scalar_sampler(monkeypatch):
-    monkeypatch.setattr(reproduction, "_sampler", False)
+    monkeypatch.setattr(native, "_lib", False)
 
 
 # ---------------------------------------------------------------- trapezoid rule
@@ -221,7 +222,7 @@ def sample_grid(window):
 def test_compiled_sampler_is_byte_equal_to_scalar_loop(bounds, compiled_sampler, monkeypatch):
     window = Window(*bounds)
     compiled = sample_grid(window)
-    monkeypatch.setattr(reproduction, "_sampler", False)
+    monkeypatch.setattr(native, "_lib", False)
     scalar = sample_grid(window)
     assert len(compiled) == 800
     for k, (c, s) in enumerate(zip(compiled, scalar)):
@@ -233,8 +234,7 @@ def test_compiled_sampler_is_byte_equal_to_scalar_loop(bounds, compiled_sampler,
 def test_second_process_reuses_the_cached_sampler(compiled_sampler):  # built by the fixture
     env = {**os.environ, "PATH": "", "PYTHONPATH": str(Path(reproduction.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", "from palmpat import reproduction as r; "
-         "assert r.load_sampler() is not None"],
+        [sys.executable, "-c", "from palmpat import _native; assert _native.load() is not None"],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr  # with no PATH, no compiler could have run
     assert done.stderr == ""
@@ -244,12 +244,12 @@ def test_sampler_source_ships_as_package_data():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(reproduction.__file__).parents[2] / "pyproject.toml"
     config = tomllib.loads(pyproject.read_text())
-    assert config["tool"]["setuptools"]["package-data"]["palmpat"] == ["_sampler.c"]
-    assert Path(reproduction.__file__).with_name("_sampler.c").is_file()
+    assert config["tool"]["setuptools"]["package-data"]["palmpat"] == ["_native.c"]
+    assert Path(native.__file__).with_name("_native.c").is_file()
 
 
 def sampler_log(caplog):
-    return [r for r in caplog.records if "compiled sampler unavailable" in r.getMessage()]
+    return [r for r in caplog.records if "compiled library unavailable" in r.getMessage()]
 
 
 def test_failed_compile_logs_one_line_and_gives_the_same_bytes(compiled_sampler, tmp_path,
@@ -257,13 +257,13 @@ def test_failed_compile_logs_one_line_and_gives_the_same_bytes(compiled_sampler,
     window = Window(0.0, 0.0, 100.0, 60.0)
     params = ReproductionParams(0.7, 5.0)
     expected = [simulate_reproduction(window, 200, params, seed).coords for seed in (1, 2)]
-    monkeypatch.setattr(reproduction, "_sampler", None)
+    monkeypatch.setattr(native, "_lib", None)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # an empty cache: must compile
     monkeypatch.setenv("PATH", "")  # and cc cannot be found
-    with caplog.at_level(logging.WARNING, logger="palmpat.reproduction"):
+    with caplog.at_level(logging.WARNING, logger="palmpat._native"):
         got = [simulate_reproduction(window, 200, params, seed).coords for seed in (1, 2)]
     assert len(caplog.records) == 1 and sampler_log(caplog)
-    assert reproduction._sampler is False
+    assert native._lib is False
     assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
 
 
@@ -271,16 +271,16 @@ def test_a_build_removes_stale_libraries_but_not_builds_in_progress(compiled_sam
                                                                   tmp_path, monkeypatch):
     cache = tmp_path / f"palmpat-{os.getuid()}"
     cache.mkdir(mode=0o700)
-    (cache / "sampler-deadbeef.so").write_bytes(b"stale")
-    (cache / "sampler-cafe.so.4242.tmp").write_bytes(b"another process is building")
-    monkeypatch.setattr(reproduction, "_sampler", None)
+    (cache / "native-deadbeef.so").write_bytes(b"stale")
+    (cache / "native-cafe.so.4242.tmp").write_bytes(b"another process is building")
+    monkeypatch.setattr(native, "_lib", None)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # a cache without this build
     window = Window(0.0, 0.0, 100.0, 60.0)
     pattern = simulate_reproduction(window, 200, ReproductionParams(0.7, 5.0), 1)
-    assert reproduction._sampler
+    assert native._lib
     [lib] = [p.name for p in cache.glob("*.so")]  # the one just built
-    assert lib != "sampler-deadbeef.so"
-    assert sorted(p.name for p in cache.iterdir()) == sorted([lib, "sampler-cafe.so.4242.tmp"])
+    assert lib != "native-deadbeef.so"
+    assert sorted(p.name for p in cache.iterdir()) == sorted([lib, "native-cafe.so.4242.tmp"])
     assert pattern.coords.tobytes() == brute_reproduction(window, 200, 0.7, 5.0, 1)[0].tobytes()
 
 
@@ -289,15 +289,15 @@ def test_shared_cache_directory_is_refused(tmp_path, monkeypatch, caplog):
     cache.mkdir()
     cache.chmod(0o777)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setattr(reproduction, "_sampler", None)
+    monkeypatch.setattr(native, "_lib", None)
     calls = []
     scalar = reproduction._scalar_reproduction
     monkeypatch.setattr(reproduction, "_scalar_reproduction",
                         lambda *args: calls.append(args) or scalar(*args))
     window = Window(0.0, 0.0, 100.0, 60.0)
-    with caplog.at_level(logging.WARNING, logger="palmpat.reproduction"):
+    with caplog.at_level(logging.WARNING, logger="palmpat._native"):
         pattern = simulate_reproduction(window, 30, ReproductionParams(0.7, 5.0), 4)
-    assert reproduction.load_sampler() is None
+    assert native.load() is None
     assert len(calls) == 1
     [record] = sampler_log(caplog)
     assert "not a directory private to this user" in record.getMessage()

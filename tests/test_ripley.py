@@ -141,7 +141,7 @@ def test_f_matches_direct_count_in_extreme_windows(window, in_scale):
 
 
 @pytest.mark.parametrize("exponent", [498, -498])
-def test_g_and_f_at_the_ends_of_the_distance_scale_equal_the_unit_square(exponent):
+def test_g_and_f_at_the_ends_of_the_distance_scale_equal_the_unit_square(exponent, nn_path):
     scale = 2.0 ** exponent  # scaling by a power of two is exact
     unit = simulate_csr(Window(0.0, 0.0, 1.0, 1.0), 50, seed=4)
     scaled = PointPattern(Window(0.0, 0.0, scale, scale), unit.coords * scale)
@@ -154,7 +154,7 @@ def test_g_and_f_at_the_ends_of_the_distance_scale_equal_the_unit_square(exponen
 
 @pytest.mark.parametrize("window", [Window(0.0, 0.0, 1e160, 1.0), Window(0.0, 0.0, 1.0, 1e-160),
                                     Window(0.0, 0.0, 2.0 ** 500, 2.0 ** 500)])
-def test_statistics_refuse_a_window_outside_the_distance_scale(window):
+def test_statistics_refuse_a_window_outside_the_distance_scale(window, nn_path):
     p = simulate_csr(window, 20, seed=1)  # a pattern and its window are still accepted
     grid = DistanceGrid.default(window, 5)
     for curve in (g_function, lambda p, grid: f_function(p, grid, 50, seed=2),
