@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError, check_count, check_real
 from .geometry import Box, finite_rows, iou
@@ -105,6 +104,8 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> np.ndarray
     O(n log n + pairs of centres within the largest extent), which tiles bound
     by the patch; one box that spans the area makes it O(n^2) in time and memory.
     """
+    from scipy.spatial import cKDTree  # here, so that importing palmpat loads no scipy
+
     boxes = finite_rows(boxes, 5, "boxes")
     _raise_first(_box_checks(boxes))
     iou_threshold = check_real(iou_threshold, "iou_threshold", 0.0, 1.0, low_open=True)
@@ -170,6 +171,8 @@ def match_counts(detected, labeled, radius: float = DEFAULT_MATCH_RADIUS) -> Mat
     each point used at most once. One k-d tree query finds the candidate
     pairs, so the cost is about O(n log n + candidate pairs).
     """
+    from scipy.spatial import cKDTree
+
     radius = check_real(radius, "radius", 0.0, low_open=True)
     detected = finite_rows(detected, 2, "detected")
     labeled = finite_rows(labeled, 2, "labeled")

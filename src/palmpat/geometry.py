@@ -12,7 +12,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _native
 from .errors import InvalidInputError, check_count, check_real
@@ -108,9 +107,12 @@ class PointPattern:
         return self.coords.shape[0]
 
     @cached_property
-    def tree(self) -> cKDTree:
-        """The k-d tree on ``coords``, built on first use and shared by every
-        statistic of this pattern (see ``check_distance_scale``)."""
+    def tree(self):
+        """scipy's ``cKDTree`` on ``coords``, built on first use and shared by
+        every statistic of this pattern (see ``check_distance_scale``). scipy is
+        imported here, on first use, since the grid kernel mostly answers instead."""
+        from scipy.spatial import cKDTree
+
         check_distance_scale(self.window)
         return cKDTree(self.coords)
 

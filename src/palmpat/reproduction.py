@@ -24,10 +24,10 @@ Randomness layout: substream (0,) seeds one reference-point set that
 the observed F curve and every trial's simulated F curve share, so the
 reference-sampling noise cancels out of the |f - f_sim| comparison
 instead of drowning the between-cell signal (``f_function`` keeps the set
-it drew last, so a fit draws it once; see ``ripley``); trial t of cell
-(ip, is) uses substream (1, ip, is, t) for its simulation. Results are
-bit-identical for a fixed master seed regardless of worker count or
-execution order.
+it drew last, so each process of a fit draws it once; see ``ripley``);
+trial t of cell (ip, is) uses substream (1, ip, is, t) for its simulation.
+Results are bit-identical for a fixed master seed regardless of worker count
+or execution order.
 """
 from __future__ import annotations
 
@@ -205,8 +205,8 @@ def fit(
     minimum of ``d_total`` in scan order, so a tie goes to the earlier cell.
     ``n_ref`` is the F reference-point count (None: the ``f_function``
     default, which depends only on the shared point count); the observed F
-    fills ``f_function``'s reference set before the workers fork, and every
-    trial's F reads it.
+    and every trial's F read one reference set, which the calling process and
+    each pool worker draw once for themselves.
     """
     ps, sigmas = list(p_candidates), list(sigma_candidates)
     check_count(len(ps) * len(sigmas) * check_count(n_trials, "n_trials"), "fit task count", 0,
@@ -219,7 +219,7 @@ def fit(
         grid = DistanceGrid.default(observed.window)
 
     f_seed = substream_seed(seed, 0)
-    obs_g = g_function(observed, grid)  # loads the compiled library before map_tasks forks
+    obs_g = g_function(observed, grid)
     obs_f = f_function(observed, grid, n_ref, f_seed)
 
     tasks = [

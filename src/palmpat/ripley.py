@@ -13,10 +13,10 @@ are always compared with the same estimator:
 * F draws its reference points from a seeded stream, generated up front
   in one call (``rng.uniform(window.lo, window.hi, (n_ref, 2))``), so the
   curve is bit-reproducible for a fixed seed; ``n_ref`` defaults to
-  max(1000, n). The last set drawn is kept (``_references``), so every F of
-  a fit reads one set, ordered in 16 horizontal strips of the window and by
-  x within each for faster queries; F sorts the reference distances, so
-  their order cannot change a byte.
+  max(1000, n). Each process keeps the last set it drew (``_references``),
+  so every F of a fit reads one set, ordered in 16 horizontal strips of the
+  window and by x within each for faster queries; F sorts the reference
+  distances, so their order cannot change a byte.
 * G's nearest-neighbour distances and F's reference distances come from the
   compiled grid kernel of ``geometry.nearest_distances`` first. The pattern's
   one k-d tree, ``pattern.tree``, answers when the library cannot load, when

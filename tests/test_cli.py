@@ -1,9 +1,17 @@
 import argparse
 import hashlib
 import importlib
+import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +23,10 @@ from palmpat import (
     InvalidInputError,
     ReproductionParams,
     Window,
+    envelope,
     fit,
     match_counts,
+    simulate_csr,
 )
 from palmpat._pool import map_tasks
 from palmpat.cli import _read_rows, main, parse_points_csv, parse_range
@@ -204,22 +214,159 @@ def _exit_in_worker(task):
     raise AssertionError("ran in the test process, not in a pool worker")
 
 
+def _worker_pid(task):
+    time.sleep(0.02)  # long enough for every worker to take a task
+    return os.getpid()
+
+
+def _parent_pid(task):
+    return os.getppid()
+
+
+def _refuse_odd(task):
+    if task % 2:
+        raise InvalidInputError(f"task {task} is odd")
+    return os.getpid()
+
+
 def test_crashed_worker_breaks_the_pool(monkeypatch):
     monkeypatch.setenv("PALMPAT_THREADS", "2")
     with pytest.raises(BrokenProcessPool):
         map_tasks(_exit_in_worker, [0, 1])
+    # the broken pool is dropped, and the next call starts a new one
+    workers = set(map_tasks(_worker_pid, range(8)))
+    assert len(workers) == 2 and TEST_PID not in workers
+
+
+def test_consecutive_calls_run_on_the_same_forked_workers(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "2")
+    workers = set(map_tasks(_worker_pid, range(8)))
+    assert len(workers) == 2 and TEST_PID not in workers
+    assert set(map_tasks(_worker_pid, range(8))) == workers
+    assert set(map_tasks(_parent_pid, range(4))) == {TEST_PID}
+
+
+def test_a_new_worker_count_replaces_the_pool(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "2")
+    old = set(map_tasks(_worker_pid, range(8)))
+    monkeypatch.setenv("PALMPAT_THREADS", "3")
+    new = set(map_tasks(_worker_pid, range(12)))
+    assert len(new) == 3 and new.isdisjoint(old)
+    assert old.isdisjoint(p.pid for p in multiprocessing.active_children())
+    # the old pool's threads were joined first, so the new workers were forked
+    assert set(map_tasks(_parent_pid, range(6))) == {TEST_PID}
+
+
+def test_a_failing_task_leaves_the_pool_usable(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "2")
+    workers = set(map_tasks(_worker_pid, range(8)))
+    with pytest.raises(InvalidInputError, match="^task 1 is odd$"):
+        map_tasks(_refuse_odd, range(4))
+    assert set(map_tasks(_worker_pid, range(8))) == workers
+
+
+def _envelope_f_and_fit_bytes():
+    window = Window(0.0, 0.0, 50.0, 50.0)
+    pattern = simulate_csr(window, 40, seed=8)
+    grid = DistanceGrid.default(window, 15)
+    env = envelope(pattern, grid, "F", m=19, seed=5, n_ref=200)
+    result = fit(pattern, [0.3, 0.6], [4.0, 8.0], 2, grid, 200, seed=6)
+    arrays = (env.observed, env.sim_mean, env.lo95, env.hi95, env.p_values, result.d)
+    return b"".join(a.tobytes() for a in arrays)
+
+
+def test_a_live_thread_makes_the_pool_start_by_forkserver(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
+    serial = _envelope_f_and_fit_bytes()
+    pool_module = importlib.import_module("palmpat._pool")
+    pool_module._shutdown()  # so that the next pool starts while the thread runs
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        monkeypatch.setenv("PALMPAT_THREADS", "2")
+        assert _envelope_f_and_fit_bytes() == serial
+        # forkserver workers are children of the fork server, not of this process
+        assert TEST_PID not in set(map_tasks(_parent_pid, range(4)))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        pool_module._shutdown()
+    assert not thread.is_alive()
+
+
+def test_a_forked_child_neither_reuses_nor_shuts_down_the_parent_pool(monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "2")
+    pool_module = importlib.import_module("palmpat._pool")
+    workers = set(map_tasks(_worker_pid, range(8)))
+    read, write = os.pipe()
+    with warnings.catch_warnings():  # 3.12+ warns on forking while the pool's threads run
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:  # map_tasks forgets the inherited pool; _shutdown is the exit hook
+            own = sorted(set(map_tasks(_worker_pid, range(8))))
+            pool_module._shutdown()
+            os.write(write, " ".join(map(str, own)).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    with os.fdopen(read) as pipe:
+        child_workers = {int(w) for w in pipe.read().split()}
+    assert done[0] == pid, "the forked child hung"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert len(child_workers) == 2 and child_workers.isdisjoint(workers | {pid})
+    assert set(map_tasks(_worker_pid, range(8))) == workers
 
 
 def test_crashed_worker_is_one_line_data_error(points_csv, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PALMPAT_THREADS", "2")
-    # the package's ``envelope`` attribute is the function, not the module
-    monkeypatch.setattr(importlib.import_module("palmpat.envelope"), "_sim_curve",
-                        _exit_in_worker)
-    code = main(["envelope", "--points", points_csv, "--stat", "g", "--m", "19",
-                 "--grid-steps", "10", "--out-dir", str(tmp_path)])
+    argv = ["envelope", "--points", points_csv, "--stat", "g", "--m", "19",
+            "--grid-steps", "10", "--out-dir", str(tmp_path)]
+    with monkeypatch.context() as patch:
+        # the package's ``envelope`` attribute is the function, not the module
+        patch.setattr(importlib.import_module("palmpat.envelope"), "_sim_curve",
+                      _exit_in_worker)
+        code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert main(argv) == 0  # the same process runs the next call on a new pool
+    capsys.readouterr()
+
+
+SCIPY_FREE_RUN = """
+import sys
+import palmpat.cli
+from palmpat import (DistanceGrid, ReproductionParams, Window, envelope, fit, j_function,
+                     simulate_csr, simulate_reproduction)
+window = Window(0.0, 0.0, 100.0, 100.0)
+pattern = simulate_csr(window, 60, seed=1)
+grid = DistanceGrid.default(window, 20)
+j_function(pattern, grid, 200, seed=2)  # G and F too
+envelope(pattern, grid, "F", m=19, seed=3, n_ref=200)
+observed = simulate_reproduction(window, 60, ReproductionParams(0.5, 8.0), seed=4)
+fit(observed, [0.3, 0.6], [5.0, 10.0], 2, grid, 200, seed=5)
+assert "scipy.spatial" not in sys.modules, "scipy.spatial was imported"
+"""
+
+
+def test_the_statistics_and_the_cli_import_no_scipy_while_the_library_loads():
+    if importlib.import_module("palmpat._native").load() is None:
+        pytest.skip("the compiled library cannot be built on this host")
+    src = Path(palmpat.cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PALMPAT_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("threads, message", [

@@ -62,7 +62,7 @@ def test_csr_rejects_nonpositive_count():
 
 @pytest.mark.parametrize("statistic", ["G", "F", "J"])
 def test_envelope_deterministic_and_worker_invariant(statistic, monkeypatch):
-    # F and J: the parent's cached reference set crosses the fork into every worker
+    # F and J: each pool worker draws and keeps its own copy of the reference set
     p = simulate_csr(WINDOW, 40, seed=2)
     grid = DistanceGrid.default(WINDOW, 25)
     results = []

@@ -17,7 +17,7 @@ from palmpat import (
     nn_stats,
     simulate_csr,
 )
-from palmpat import geometry, ripley
+from palmpat import ripley
 from palmpat.ripley import statistic_curve
 from oracles import (
     brute_f_values,
@@ -384,7 +384,7 @@ def test_g_f_j_and_nn_stats_of_one_pattern_build_one_tree(monkeypatch):
         built.append(len(data))
         return cKDTree(data, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "cKDTree", counting)
+    monkeypatch.setattr("scipy.spatial.cKDTree", counting)  # imported where it is used
     window = Window(0.0, 0.0, 100.0, 100.0)
     p = simulate_csr(window, 40, seed=3)
     grid = DistanceGrid.default(window, 20)
