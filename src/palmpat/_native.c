@@ -9,7 +9,9 @@
  * - nearest_distances, the uniform-grid nearest-neighbour search behind G and
  *   F. It returns the bytes of scipy's cKDTree.query: the same
  *   sqrt(dx*dx + dy*dy) with no fused multiply-add (-ffp-contract=off), and a
- *   stopping rule that is exact in floating point (see below).
+ *   stopping rule that is exact in floating point (see below). Cell edges are
+ *   computed wherever they are read, so it allocates only the sorted points,
+ *   their indices and each cell's first slot.
  *
  * _native.py compiles this file with cc on first use and links numpy's
  * libnpyrandom.a; only bitgen.h is included, so no Python.h is needed. */
@@ -73,33 +75,30 @@ int64_t sample_reproduction(bitgen_t *bg, int64_t n, double x0, double y0, doubl
  * ordinary patterns take 11-18 visits per point and query. */
 #define VISITS_PER_ITEM 48
 
-/* One axis of the grid: k cells whose lower edges edge[0..k-1] never decrease. */
+/* One axis of the grid: k cells over [lo, hi], with step = (hi - lo) / k and
+ * scale = k / (hi - lo). Cell c's lower edge is computed on each read as
+ * edge(a, c) = lo + c * step, which never decreases in c (rounding is monotone).
+ * The axis helpers are inline: as calls, computing edges slows G and F. */
 typedef struct {
     int64_t k;
-    double lo, scale, *edge;
+    double lo, step, scale;
 } axis_t;
 
-static bool axis_init(axis_t *a, int64_t k, double lo, double hi)
+static inline double edge(const axis_t *a, int64_t c)
 {
-    a->k = k;
-    a->lo = lo;
-    a->scale = k / (hi - lo);
-    a->edge = malloc(k * sizeof(double));
-    for (int64_t c = 0; a->edge && c < k; c++)
-        a->edge[c] = lo + c * ((hi - lo) / k);
-    return a->edge != NULL;
+    return a->lo + c * a->step;
 }
 
 /* The last cell whose edge is <= v (cell 0 for v below every edge): the scaled
- * guess, corrected against the stored edges. A point in a cell after c is
- * therefore >= edge[c + 1], and one in a cell before c is < edge[c]. */
-static int64_t axis_cell(const axis_t *a, double v)
+ * guess, corrected against the edges. A point in a cell after c is therefore
+ * >= edge(a, c + 1), and one in a cell before c is < edge(a, c). */
+static inline int64_t axis_cell(const axis_t *a, double v)
 {
     const double u = (v - a->lo) * a->scale;
     int64_t c = u < 1.0 ? 0 : u >= a->k ? a->k - 1 : (int64_t)u;
-    while (c > 0 && v < a->edge[c])
+    while (c > 0 && v < edge(a, c))
         c--;
-    while (c + 1 < a->k && v >= a->edge[c + 1])
+    while (c + 1 < a->k && v >= edge(a, c + 1))
         c++;
     return c;
 }
@@ -108,15 +107,15 @@ static int64_t axis_cell(const axis_t *a, double v)
  * can have from v, as cKDTree computes it: rounding is monotone, so
  * fl(|p - v|) >= fl(|edge - v|) and the squares keep that order. Infinite
  * where the block reaches the grid's border on both sides. */
-static double axis_clearance(const axis_t *a, int64_t clo, int64_t chi, double v)
+static inline double axis_clearance(const axis_t *a, int64_t clo, int64_t chi, double v)
 {
     double best = INFINITY;
     if (clo > 0) {
-        const double d = v - a->edge[clo];
+        const double d = v - edge(a, clo);
         best = d * d;
     }
     if (chi + 1 < a->k) {
-        const double d = a->edge[chi + 1] - v;
+        const double d = edge(a, chi + 1) - v;
         best = fmin(best, d * d);
     }
     return best;
@@ -136,28 +135,27 @@ int64_t nearest_distances(const double *pts, int64_t n, const double *qs, int64_
     const int64_t cells = n / 2 > 1 ? n / 2 : 1;
     const double across = sqrt((double)cells) * sqrt((x1 - x0) / (y1 - y0));
     const int64_t nx = across < 1.0 ? 1 : across > cells ? cells : (int64_t)across;
-    axis_t ax = {0}, ay = {0};
-    int64_t *start = calloc(cells + 1, sizeof(int64_t)), *cell = malloc(n * sizeof(int64_t));
-    int64_t *index = malloc(n * sizeof(int64_t));
+    const int64_t ny = cells / nx;
+    const axis_t ax = {nx, x0, (x1 - x0) / nx, nx / (x1 - x0)};
+    const axis_t ay = {ny, y0, (y1 - y0) / ny, ny / (y1 - y0)};
+    int64_t *start = calloc(cells + 1, sizeof(int64_t)), *index = malloc(n * sizeof(int64_t));
     double *sorted = malloc(2 * n * sizeof(double));
     int64_t status = -2;
-    if (!(axis_init(&ax, nx, x0, x1) && axis_init(&ay, cells / nx, y0, y1) && start && cell
-          && index && sorted))
+    if (!(start && index && sorted))
         goto done;
 
-    for (int64_t i = 0; i < n; i++) {
-        cell[i] = axis_cell(&ay, pts[2 * i + 1]) * nx + axis_cell(&ax, pts[2 * i]);
-        start[cell[i] + 1]++;
-    }
-    for (int64_t c = 0; c < ay.k * nx; c++)
+    for (int64_t i = 0; i < n; i++)
+        start[axis_cell(&ay, pts[2 * i + 1]) * nx + axis_cell(&ax, pts[2 * i]) + 1]++;
+    for (int64_t c = 0; c < ny * nx; c++)
         start[c + 1] += start[c];
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t at = start[cell[i]]++;
+    for (int64_t i = 0; i < n; i++) {  /* the scatter finds each point's cell again */
+        const int64_t c = axis_cell(&ay, pts[2 * i + 1]) * nx + axis_cell(&ax, pts[2 * i]);
+        const int64_t at = start[c]++;
         sorted[2 * at] = pts[2 * i];
         sorted[2 * at + 1] = pts[2 * i + 1];
         index[at] = i;
     }
-    for (int64_t c = ay.k * nx; c > 0; c--)  /* back to the first slot of each cell */
+    for (int64_t c = ny * nx; c > 0; c--)  /* back to the first slot of each cell */
         start[c] = start[c - 1];
     start[0] = 0;
 
@@ -172,7 +170,7 @@ int64_t nearest_distances(const double *pts, int64_t n, const double *qs, int64_
         double best = INFINITY;
         for (int64_t r = 0;; r++) {
             const int64_t xlo = cx - r > 0 ? cx - r : 0, xhi = cx + r < nx ? cx + r : nx - 1;
-            const int64_t ylo = cy - r > 0 ? cy - r : 0, yhi = cy + r < ay.k ? cy + r : ay.k - 1;
+            const int64_t ylo = cy - r > 0 ? cy - r : 0, yhi = cy + r < ny ? cy + r : ny - 1;
             for (int64_t y = ylo; y <= yhi; y++) {
                 /* the whole row on the ring's top and bottom, its two ends elsewhere */
                 const bool full = y == cy - r || y == cy + r;
@@ -200,10 +198,7 @@ int64_t nearest_distances(const double *pts, int64_t n, const double *qs, int64_
     }
     status = 0;
 done:
-    free(ax.edge);
-    free(ay.edge);
     free(start);
-    free(cell);
     free(index);
     free(sorted);
     return status;

@@ -109,17 +109,16 @@ class PointPattern:
     @cached_property
     def tree(self):
         """scipy's ``cKDTree`` on ``coords``, built on first use and shared by
-        every statistic of this pattern (see ``check_distance_scale``). scipy is
-        imported here, on first use, since the grid kernel mostly answers instead."""
+        every statistic of this pattern; ``nearest_distances`` says when it
+        answers. scipy is imported here, on first use."""
         from scipy.spatial import cKDTree
 
-        check_distance_scale(self.window)
         return cKDTree(self.coords)
 
 
 def check_distance_scale(window: Window) -> None:
     """Refuse a window side outside [1e-150, 1e150], where squared distances
-    overflow or turn subnormal; both nearest-neighbour paths pass through here."""
+    overflow or turn subnormal; ``nearest_distances`` checks every pattern here."""
     sides = (window.width, window.height)
     if not 1e-150 <= min(sides) <= max(sides) <= 1e150:
         raise InvalidInputError(f"window sides {sides} lie outside [1e-150, 1e150]; "
@@ -156,51 +155,35 @@ def nearest_neighbor_distances(pattern: PointPattern, k: int = 1) -> np.ndarray:
 
     Returns an (n, k) array; row i holds the k smallest distances from
     point i to the remaining points. Exact, and coincident points yield zero
-    distances. At k = 1 the compiled grid kernel of ``nearest_distances``
-    answers, with the k-d tree ``pattern.tree`` as its fallback; the tree
-    answers every k > 1. Both give the all-pairs answer, byte for byte.
+    distances. ``nearest_distances`` answers, by the kernel or the tree.
     """
     n = len(pattern)
     if n < 2:
         raise InvalidInputError(f"nearest-neighbor query needs at least 2 points, got {n}")
     check_count(k, "k", most=n - 1)
-    if k == 1:
-        return nearest_distances(pattern)[:, None]
-    dist, _ = pattern.tree.query(pattern.coords, k=k + 1)
-    # Column 0 is the point itself, or a tied zero among coincident points.
-    return np.ascontiguousarray(dist[:, 1:])
+    return nearest_distances(pattern, k=k)
 
 
-def nearest_distances(pattern: PointPattern, queries: np.ndarray | None = None) -> np.ndarray:
-    """The distance from each query row to the nearest point of ``pattern``, or
-    with no queries from each point to its nearest other point (n >= 2).
+def nearest_distances(pattern: PointPattern, queries: np.ndarray | None = None,
+                      k: int = 1) -> np.ndarray:
+    """The (m, k) distances, ascending, from each query row to its k nearest
+    points of ``pattern``, or with no queries from each point to its k nearest
+    others (m = n > k).
 
-    The compiled grid kernel answers first (``grid_distances``); the k-d tree
-    answers when the library cannot load or the kernel gives up on a tight
-    cluster. Both compute ``sqrt(dx*dx + dy*dy)`` exactly alike, so the bytes
-    are the same either way.
+    The one kernel-or-tree rule: the compiled grid kernel (``_native.c``)
+    answers when k = 1, the library loads and the kernel stays within its work
+    budget (tight clusters exceed it); the k-d tree ``pattern.tree`` answers
+    the rest. Both compute ``sqrt(dx*dx + dy*dy)`` alike, so the bytes are the
+    same either way. The window's scale is checked first (``check_distance_scale``).
     """
     check_distance_scale(pattern.window)
-    dist = grid_distances(pattern, queries)
-    if dist is not None:
-        return dist
-    if queries is None:  # column 0 is the point itself, or a tied zero
-        return pattern.tree.query(pattern.coords, k=2)[0][:, 1].copy()
-    return pattern.tree.query(queries, k=1)[0]
-
-
-def grid_distances(pattern: PointPattern, queries: np.ndarray | None = None):
-    """``nearest_distances`` by the compiled grid kernel alone; None when the
-    library cannot load or the kernel passes its work budget."""
-    lib = _native.load()
-    if lib is None:
-        return None
     if queries is not None:  # the kernel reads C-contiguous float rows
         queries = np.ascontiguousarray(finite_rows(queries, 2, "queries"))
-    m = len(pattern) if queries is None else len(queries)
-    dist = np.empty(m)
-    w = pattern.window
-    status = lib.nearest_distances(
-        pattern.coords.ctypes.data, len(pattern), None if queries is None else queries.ctypes.data,
-        m, w.x_min, w.y_min, w.x_max, w.y_max, dist.ctypes.data)
-    return dist if status == 0 else None
+    q, m = (None, len(pattern)) if queries is None else (queries.ctypes.data, len(queries))
+    dist, w = np.empty((m, 1)), pattern.window
+    if k == 1 and (lib := _native.load()) and lib.nearest_distances(
+            pattern.coords.ctypes.data, len(pattern), q, m, *w.lo, *w.hi, dist.ctypes.data) == 0:
+        return dist
+    if queries is None:  # column 0 is the point itself, or a tied zero among coincident points
+        return np.ascontiguousarray(pattern.tree.query(pattern.coords, k=k + 1)[0][:, 1:])
+    return pattern.tree.query(queries, k=k)[0].reshape(m, k)

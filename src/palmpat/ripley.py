@@ -17,11 +17,10 @@ are always compared with the same estimator:
   so every F of a fit reads one set, ordered in 16 horizontal strips of the
   window and by x within each for faster queries; F sorts the reference
   distances, so their order cannot change a byte.
-* G's nearest-neighbour distances and F's reference distances come from the
-  compiled grid kernel of ``geometry.nearest_distances`` first. The pattern's
-  one k-d tree, ``pattern.tree``, answers when the library cannot load, when
-  the kernel gives up on a tight cluster, and for ``nn_stats`` at k > 1; both
-  give the same bytes. Either way the window's sides must lie in [1e-150, 1e150].
+* G's nearest-neighbour distances, F's reference distances and ``nn_stats``
+  all come from ``geometry.nearest_distances``, whose one rule picks the
+  compiled grid kernel or the pattern's k-d tree; both give the same bytes.
+  The window's sides must lie in [1e-150, 1e150].
 * J is left undefined (NaN) wherever F(d) == 1.
 """
 from __future__ import annotations
@@ -103,7 +102,7 @@ def f_function(
         raise InvalidInputError("F function needs a nonempty pattern")
     seed = check_count(seed, "seed", 0, None)  # before the cache, which cannot hash every bad seed
     n_ref = max(1000, len(pattern)) if n_ref is None else check_count(n_ref, "n_ref")
-    dist = nearest_distances(pattern, _references(pattern.window, n_ref, seed))
+    dist = nearest_distances(pattern, _references(pattern.window, n_ref, seed))[:, 0]
     dist.sort()  # so the order of the references cannot change a byte
     return _empirical_cdf(dist, grid)
 

@@ -1,6 +1,6 @@
-"""The compiled grid kernel behind G and F (``geometry.grid_distances``) against
-the k-d tree it falls back to: the same bytes on awkward inputs, and at most
-1.5x the tree's time on the tight clusters where a uniform grid is quadratic."""
+"""The compiled grid kernel against the k-d tree it falls back to, by the one
+rule of ``geometry.nearest_distances``: the same bytes on awkward inputs, and at
+most 1.5x the tree's time on the tight clusters where a uniform grid is quadratic."""
 import importlib
 import time
 
@@ -29,10 +29,29 @@ def kernel():
         pytest.skip("the compiled library cannot be built on this host")
 
 
+class KernelGaveUp(Exception):
+    pass
+
+
+def gave_up(pattern):
+    raise KernelGaveUp
+
+
+def kernel_distances(pattern, queries=None):
+    """``nearest_distances`` at k = 1 by the kernel alone, as a flat array: None
+    where it gives up, which is where the tree (patched here to raise) would answer."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PointPattern, "tree", property(gave_up))
+        try:
+            return geometry.nearest_distances(pattern, queries)[:, 0]
+        except KernelGaveUp:
+            return None
+
+
 def assert_kernel_matches_tree(pattern, queries):
     """G's distances (each point skipping itself) and F's (``queries``) from the
     kernel, which must answer, are the tree's bytes."""
-    g, f = geometry.grid_distances(pattern), geometry.grid_distances(pattern, queries)
+    g, f = kernel_distances(pattern), kernel_distances(pattern, queries)
     assert g is not None and f is not None  # within the work budget
     assert g.tobytes() == pattern.tree.query(pattern.coords, k=2)[0][:, 1].tobytes()
     assert f.tobytes() == pattern.tree.query(queries, k=1)[0].tobytes()
@@ -113,9 +132,27 @@ def test_a_point_one_float_across_a_cell_edge_is_searched(lo, hi, toward, kernel
     window, far = Window(lo, 0.0, hi, width / 2), (lo if toward > 0 else hi)
     pattern = PointPattern(window, [(q, 0.0), (r, 0.0), (across, 0.0), (far, 0.0)])
     assert_kernel_matches_tree(pattern, np.array([(q, 0.0)]))
-    assert geometry.grid_distances(pattern)[0] == abs(q - across) == 3 * abs(across - edge)
+    assert kernel_distances(pattern)[0] == abs(q - across) == 3 * abs(across - edge)
     others = PointPattern(window, [(r, 0.0), (across, 0.0), (far, 0.0), (far, width / 2)])
-    assert geometry.grid_distances(others, np.array([(q, 0.0)])).tolist() == [abs(q - across)]
+    assert kernel_distances(others, np.array([(q, 0.0)])).tolist() == [abs(q - across)]
+
+
+@pytest.mark.parametrize("corner", [0.0, 1000.0])
+def test_a_cluster_on_four_corner_cells_stays_on_the_kernel(corner, kernel):
+    # 800 points in this window make a 20 x 20 grid of 50-unit cells (about n / 2).
+    # Half of them on the 2 x 2 cells at a corner (100 a cell) stay within the
+    # work budget; packed into that corner's one cell, they pass it. Edges one
+    # cell up merge the low corner's cells, and one cell down the high corner's;
+    # either way the kernel gives up on both patterns there.
+    window = Window(0.0, 0.0, 1000.0, 1000.0)
+    rng = np.random.default_rng(3)
+    offsets, rest = rng.uniform(0.0, 1.0, (400, 2)), rng.uniform(0.0, 1000.0, (400, 2))
+    for side in (100.0, 50.0):
+        pattern = PointPattern(window, np.vstack([np.abs(corner - side * offsets), rest]))
+        if side == 100.0:
+            assert_kernel_matches_tree(pattern, rest)
+        else:
+            assert kernel_distances(pattern) is None
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -128,8 +165,8 @@ def test_fit_size_patterns(p, sigma, seed, kernel):
     if p < 0.9:
         assert_kernel_matches_tree(pattern, refs)
     else:  # G gives up on these clusters (the tree is faster there); F answers
-        assert geometry.grid_distances(pattern) is None
-        assert (geometry.grid_distances(pattern, refs).tobytes()
+        assert kernel_distances(pattern) is None
+        assert (kernel_distances(pattern, refs).tobytes()
                 == pattern.tree.query(refs, k=1)[0].tobytes())
 
 

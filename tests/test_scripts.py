@@ -84,17 +84,40 @@ def test_recovery_experiment_writes_one_row_per_seed(tmp_path):
                         "--side", 300, "--truth-sigma", 30, "--p", "0.4:0.6:0.2",
                         "--sigma", "20:40:20", "--trials", 1, "--n-ref", 200, cwd=tmp_path)
     rows = out.read_text().splitlines()
-    assert rows[0] == "obs_seed,fit_seed,p_star,sigma_star,d_min,hit,seconds"
+    assert rows[0] == ("obs_seed,fit_seed,p_star,sigma_star,d_min,hit,seconds," + ",".join(MARGINS))
     assert len(rows) == 3
+    assert all(row.endswith(",,,,,,,") for row in rows[1:])  # the truth (0.5, 30) is no cell
     assert "recovered within one step in" in stdout
     record = json.loads(out.with_suffix(".json").read_text())
     assert list(record) == ["revision", "wall_s", "seeds", "hits", "wilson_95", "per_seed"]
     assert record["seeds"] == 2 and 0 <= record["hits"] <= 2 and record["wall_s"] >= 0
     assert [list(seed) for seed in record["per_seed"]] == [
-        ["obs_seed", "p_star", "sigma_star", "hit"]] * 2
+        ["obs_seed", "p_star", "sigma_star", "hit", *MARGINS]] * 2
+    assert all(seed[name] is None for seed in record["per_seed"] for name in MARGINS)
     assert [seed["obs_seed"] for seed in record["per_seed"]] == [100, 101]
     assert record["hits"] == sum(seed["hit"] for seed in record["per_seed"])
     assert record["revision"]
+
+
+MARGINS = ["truth_rank", "truth_margin", "best_steps", "truth_g", "truth_f", "best_g", "best_f"]
+
+
+def test_recovery_experiment_records_margins_when_the_truth_is_a_cell(tmp_path):
+    # The script itself asserts that each replayed trial's G and F parts sum to
+    # the fit table's d exactly; here the margins must agree with p* and sigma*.
+    out = tmp_path / "recovery.csv"
+    run_script("recovery_experiment.py", "--out", out, "--seeds", 3, "--n", 60, "--side", 300,
+               "--truth-sigma", 30, "--p", "0.4:0.6:0.1", "--sigma", "20:40:10", "--trials", 2,
+               "--n-ref", 200, cwd=tmp_path)
+    seeds = json.loads(out.with_suffix(".json").read_text())["per_seed"]
+    assert [seed["truth_rank"] for seed in seeds] == [1, 1, 4]
+    for seed in seeds:
+        steps = round(max(abs(seed["p_star"] - 0.5) / 0.1, abs(seed["sigma_star"] - 30) / 10))
+        assert seed["best_steps"] == steps and seed["hit"] == (steps <= 1)
+        assert (seed["truth_rank"] == 1) == (seed["truth_margin"] == 0.0) == (steps == 0)
+        assert seed["truth_g"] + seed["truth_f"] == pytest.approx(
+            seed["best_g"] + seed["best_f"] + seed["truth_margin"], rel=1e-12)
+    assert seeds[2]["truth_margin"] == pytest.approx(4.507575757575758, rel=1e-12)
 
 
 def test_wilson_interval():
