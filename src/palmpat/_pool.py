@@ -3,7 +3,7 @@
 Tasks carry their own derived seeds, so mapping them over any number of
 workers gives bit-identical results; the reduction happens in submission
 order. ``PALMPAT_THREADS`` is the one setting for the worker count (0 or
-unset = one worker per CPU); the library takes no worker argument.
+unset = one worker per CPU, at most 256); the library takes no worker argument.
 
 A process keeps one executor for all its calls. It starts on first use, is
 replaced when the worker count changes, is dropped after a worker crash
@@ -33,6 +33,7 @@ _R = TypeVar("_R")
 
 ENV_WORKERS = "PALMPAT_THREADS"
 MAX_TASKS = 10**6  # per call; each task's seed takes about 11 us before any worker starts
+MAX_WORKERS = 256  # the executor forks all of them on its first submit
 
 _executor: ProcessPoolExecutor | None = None
 _owner = (0, 0)  # (pid, workers) of _executor
@@ -48,7 +49,7 @@ def resolve_workers() -> int:
         workers = int(raw)
     except ValueError:
         raise InvalidInputError(f"{ENV_WORKERS} must be an integer, got {raw!r}")
-    return check_count(workers, ENV_WORKERS, 0) or os.cpu_count() or 1
+    return check_count(workers, ENV_WORKERS, 0, MAX_WORKERS) or os.cpu_count() or 1
 
 
 def map_tasks(fn: Callable[[_T], _R], tasks: Sequence[_T]) -> list[_R]:

@@ -1,4 +1,4 @@
-"""Command-line front end: CSV in, CSV (and optional SVG) out.
+"""Command-line front end: CSV in, CSV out.
 
 Subcommands map one-to-one onto library operations; multi-step analyses
 compose through files so every intermediate stays auditable:
@@ -59,7 +59,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 MAX_RANGE_VALUES = 10_000
-SVG_WIDTH, SVG_HEIGHT = 640, 400
 
 
 # ---------------------------------------------------------------- parsing
@@ -95,7 +94,7 @@ def parse_range(text: str) -> list[float]:
 def _read_rows(path, expected_header: str):
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}")
     lines = text.splitlines()
     if not lines:
@@ -195,62 +194,6 @@ def write_nn_histogram(path, stats: NeighborStats) -> None:
               zip(stats.bin_edges[:-1], stats.bin_edges[1:], stats.counts.tolist()))
 
 
-def write_curve_svg(path, x, series, band=None) -> None:
-    """Minimal deterministic line chart: optional band polygon + polylines.
-
-    ``series`` is a list of (label, values) pairs; NaN entries break the line.
-    ``x`` is strictly increasing, as every ``DistanceGrid`` is.
-    """
-    x = np.asarray(x, dtype=float)
-    ys = [np.asarray(v, dtype=float) for _, v in series]
-    stack = [v[np.isfinite(v)] for v in ys if np.isfinite(v).any()]
-    if band is not None:
-        stack += [np.asarray(b)[np.isfinite(b)] for b in band]
-    y_all = np.concatenate(stack) if stack else np.array([0.0, 1.0])
-    y_lo, y_hi = float(y_all.min()), float(y_all.max())
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
-    x_lo, x_hi = float(x.min()), float(x.max())
-    pad = 40.0
-
-    def sx(v):
-        return pad + (v - x_lo) / (x_hi - x_lo) * (SVG_WIDTH - 2 * pad)
-
-    def sy(v):
-        return SVG_HEIGHT - pad - (v - y_lo) / (y_hi - y_lo) * (SVG_HEIGHT - 2 * pad)
-
-    def pts(xv, yv):
-        return " ".join(
-            f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xv, yv) if math.isfinite(b)
-        )
-
-    colors = ("#c0392b", "#2c3e50", "#2980b9", "#27ae60")
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
-        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
-        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
-    ]
-    if band is not None:
-        lo, hi = (np.asarray(b, dtype=float) for b in band)
-        ok = np.isfinite(lo) & np.isfinite(hi)
-        if ok.any():
-            ring = pts(x[ok], hi[ok]) + " " + pts(x[ok][::-1], lo[ok][::-1])
-            parts.append(f'<polygon points="{ring}" fill="#aed6f1" stroke="none"/>')
-    for i, (label, yv) in enumerate(series):
-        color = colors[i % len(colors)]
-        parts.append(
-            f'<polyline points="{pts(x, np.asarray(yv, dtype=float))}" fill="none" '
-            f'stroke="{color}" stroke-width="1.5"><title>{label}</title></polyline>'
-        )
-    parts.append(
-        f'<text x="{pad}" y="{SVG_HEIGHT - 10:.0f}" font-size="11" fill="#333">'
-        f"x: {x_lo:.6g} to {x_hi:.6g}; y: {y_lo:.6g} to {y_hi:.6g}</text>"
-    )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
 def _emit(args, name: str, write, *data) -> None:
     """Write one output file into --out-dir and report its path."""
     path = Path(args.out_dir) / name
@@ -279,9 +222,6 @@ def cmd_ripley(args) -> int:
     pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     grid = _grid(args, pattern.window)
     curve = statistic_curve(pattern, grid, args.stat, args.n_ref, args.seed)
-    if args.svg:
-        _emit(args, f"ripley_{args.stat}.svg", write_curve_svg, grid.values,
-              [(args.stat.upper(), curve)])
     _emit(args, f"ripley_{args.stat}.csv", write_curve, grid, curve)
     return EXIT_OK
 
@@ -290,10 +230,6 @@ def cmd_envelope(args) -> int:
     pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     grid = _grid(args, pattern.window)
     result = envelope(pattern, grid, args.stat, args.envelope_m, args.seed, args.n_ref)
-    if args.svg:
-        _emit(args, f"envelope_{args.stat}.svg", write_curve_svg, grid.values,
-              [("observed", result.observed), ("sim mean", result.sim_mean)],
-              (result.lo95, result.hi95))
     _emit(args, f"envelope_{args.stat}.csv", write_envelope, grid, result)
     return EXIT_OK
 
@@ -415,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     _add_grid(s)
     s.add_argument("--stat", choices=["g", "f", "j"], required=True, help="statistic: G, F or J")
-    s.add_argument("--svg", action="store_true", help="also write an SVG line chart")
     s.set_defaults(func=cmd_ripley)
 
     s = subs.add_parser("envelope", help="Monte Carlo CSR envelope test")
@@ -424,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--stat", choices=["g", "f", "j"], required=True, help="statistic: G, F or J")
     s.add_argument("--m", type=int, default=DEFAULT_SIMULATIONS, dest="envelope_m",
                    help=f"number of CSR simulations (default {DEFAULT_SIMULATIONS})")
-    s.add_argument("--svg", action="store_true", help="also write an SVG line chart")
     s.set_defaults(func=cmd_envelope)
 
     s = subs.add_parser("simulate", help="generate a CSR or bimodal pattern")

@@ -34,7 +34,11 @@ from oracles import assert_same_fit
 
 
 def write(path, text):
-    path.write_text(text, encoding="utf-8")
+    """Write ``text`` as UTF-8, or ``bytes`` as they are."""
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -144,6 +148,8 @@ READ_CASES = {
     "header_and_blanks": ("x,y\n\n  \n", "{path}: no data rows"),
     "empty_file": ("", "{path}: empty file"),
     "wrong_header": ("a,b\n1,2\n", "{path}: expected header 'x,y', got 'a,b'"),
+    "not_utf8": (b"x,y\n\xff,2\n", "cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                 "in position 4: invalid start byte"),
 }
 
 
@@ -186,6 +192,15 @@ def test_malformed_csv_is_data_error(tmp_path, capsys):
     code = main(["ripley", "--points", path, "--stat", "g", "--out-dir", str(tmp_path)])
     assert code == 3
     assert ":3:" in capsys.readouterr().err
+
+
+def test_non_utf8_csv_is_data_error(tmp_path, capsys):
+    path = write(tmp_path / "bad.csv", b"x,y\n1,2\n\xff\xfe,3\n")
+    code = main(["ripley", "--points", path, "--stat", "g", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: cannot read {path}: 'utf-8' "
+                                                  "codec can't decode byte 0xff in position 8: "
+                                                  "invalid start byte\n")
 
 
 @pytest.mark.parametrize("exc, message", [
@@ -369,9 +384,14 @@ def test_the_statistics_and_the_cli_import_no_scipy_while_the_library_loads():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def _no_pool(workers):
+    raise AssertionError(f"a pool of {workers} workers was started")
+
+
 @pytest.mark.parametrize("threads, message", [
     ("abc", "PALMPAT_THREADS must be an integer, got 'abc'"),
     ("-1", "PALMPAT_THREADS must be an integer >= 0, got -1"),
+    ("257", "PALMPAT_THREADS must be at most 256, got 257"),
 ])
 @pytest.mark.parametrize("argv", [
     ["envelope", "--stat", "g", "--m", "19"],
@@ -380,6 +400,7 @@ def test_the_statistics_and_the_cli_import_no_scipy_while_the_library_loads():
 def test_bad_thread_count_is_data_error(argv, threads, message, points_csv, tmp_path, capsys,
                                         monkeypatch):
     monkeypatch.setenv("PALMPAT_THREADS", threads)
+    monkeypatch.setattr(importlib.import_module("palmpat._pool"), "_pool", _no_pool)
     code = main([*argv, "--points", points_csv, "--window", "0", "0", "50", "50",
                  "--grid-steps", "10", "--n-ref", "100", "--out-dir", str(tmp_path)])
     captured = capsys.readouterr()
@@ -747,14 +768,15 @@ def _lcg_points() -> str:
 
 # Per case: the arguments after the subcommand, then SHA-256 of each output
 # file and of stdout (output directory written as OUT). Recorded before the
-# CLI's config layer and its own G/F/J branch were removed.
+# CLI's config layer and its own G/F/J branch were removed; the stdout of
+# ripley_g_25, ripley_j_nan, envelope_f and envelope_j_nan was recorded
+# without --svg before the SVG writer was removed.
 CLI_GOLDEN = {
-    "ripley_g_svg": (
-        ["ripley", "--stat", "g", "--grid-steps", "25", "--svg"],
+    "ripley_g_25": (
+        ["ripley", "--stat", "g", "--grid-steps", "25"],
         {
             "ripley_g.csv": "8ae1505555be7ff45b968b47678a2e9db0548bae99ead4df0874de1df68a6694",
-            "ripley_g.svg": "e31f8a80c7216ae325048d1c04f13305aa1b4c92edd1d65d0454ff567fc457fb",
-            "stdout": "d68b5bf080f4a767eb2d2381723fd49b44d47a506923d227b54cd1c45184fd41",
+            "stdout": "fb0a7e6fde9bdabc608353d8edbb6f70f708c4c4a0da64645bd4cc03f42d4326",
         },
     ),
     "ripley_f": (
@@ -772,14 +794,13 @@ CLI_GOLDEN = {
             "stdout": "7f939b55ab5f385be8be3872f972a99061712befc431e878adda07640079af3d",
         },
     ),
-    # 7 of 25 entries NaN (F reaches 1): the polyline skips them.
-    "ripley_j_svg": (
+    # 7 of 25 values are NaN (F reaches 1), written as "nan".
+    "ripley_j_nan": (
         ["ripley", "--stat", "j", "--grid-steps", "25", "--grid-max", "45", "--n-ref", "300",
-         "--seed", "4", "--svg"],
+         "--seed", "4"],
         {
             "ripley_j.csv": "0addc0e38e0b1193cf099ca2f997ca663638202fa13643091af788f148173bd4",
-            "ripley_j.svg": "0e63770969aa62bd866fcc2f25243fde8d646968e262cbd3a6eb45fc5de1a2e6",
-            "stdout": "59c3b1a2a8e3736ce27d90007b52cfad84b5062b6e12c7bfac0e95b541e2b044",
+            "stdout": "7f939b55ab5f385be8be3872f972a99061712befc431e878adda07640079af3d",
         },
     ),
     "ripley_auto_window": (
@@ -789,23 +810,21 @@ CLI_GOLDEN = {
             "stdout": "fb0a7e6fde9bdabc608353d8edbb6f70f708c4c4a0da64645bd4cc03f42d4326",
         },
     ),
-    "envelope_f_svg": (
+    "envelope_f": (
         ["envelope", "--stat", "f", "--m", "19", "--grid-steps", "20", "--n-ref", "200",
-         "--seed", "9", "--svg"],
+         "--seed", "9"],
         {
             "envelope_f.csv": "0a1d259c2f18531aea0dfc69a715f195a7422dfc5064e46e0603e26c541f51c0",
-            "envelope_f.svg": "d7e217ffee900d0be5a1fcd2dfcae0b412032b01279fe632cd113200b0d12039",
-            "stdout": "17feb4370048dc08de1d05c03f086e0dfc3a8218be1082a5feb1d17adeab7816",
+            "stdout": "3575ec3dad92998617337c49910be3a5926ec5cf58505b422263ae8dbf6fe733",
         },
     ),
-    # Observed J is NaN at 4 of 20 entries and the band at 1: the polygon skips that one.
-    "envelope_j_svg": (
+    # observed and p are NaN at 4 of 20 rows, mean, lo95 and hi95 at 1: each written "nan".
+    "envelope_j_nan": (
         ["envelope", "--stat", "j", "--m", "19", "--grid-steps", "20", "--grid-max", "50",
-         "--n-ref", "200", "--seed", "9", "--svg"],
+         "--n-ref", "200", "--seed", "9"],
         {
             "envelope_j.csv": "5f2234a1dc00b041203178b2c9807f60debcab5b9d1a357686b0b52d82a40911",
-            "envelope_j.svg": "7ec7026581fc8764295fcdf234a5c47a3ad86ec289420c96f040600b67b1d728",
-            "stdout": "4c690980e4d3a12dcc635d729cc986515e35ac739357c82c6700d679eceeb0d9",
+            "stdout": "b68fa2e6a7d6cb8b9f07edc3e2be91a976ad514515548d4c7c124eb760f364c3",
         },
     ),
     "simulate_csr": (
@@ -976,16 +995,6 @@ def test_nn_stats_outputs(points_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_svg_emitted_on_request(points_csv, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["envelope", "--points", points_csv, "--stat", "g", "--m", "19",
-                 "--grid-steps", "12", "--svg", "--out-dir", str(out)]) == 0
-    svg = (out / "envelope_g.svg").read_text()
-    assert svg.startswith("<svg")
-    assert "polyline" in svg
-    capsys.readouterr()
-
-
 def test_default_seed_is_stable_constant(points_csv, tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -1027,7 +1036,7 @@ def test_golden_outputs_do_not_follow_numpy_print_options(tmp_path, capsys):
         return tmp_path / name
 
     with np.printoptions(legacy="1.13"):
-        for case in ("ripley_f", "envelope_j_svg", "fit", "nn_stats"):
+        for case in ("ripley_f", "envelope_j_nan", "fit", "nn_stats"):
             check_cli_golden(case, fresh(case), capsys)
         for mode in ("tiled", "global"):
             check_merge_golden(mode, fresh(mode), capsys)
@@ -1063,7 +1072,6 @@ CLI_SURFACE = {
         (('--n-ref',), 'n_ref', None, None, False, None, 'int',
          'reference points for F (default max(1000, n))'),
         (('--stat',), 'stat', None, None, True, ['g', 'f', 'j'], None, 'statistic: G, F or J'),
-        (('--svg',), 'svg', False, 0, False, None, None, 'also write an SVG line chart'),
     ],
     'envelope': [
         (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
@@ -1084,7 +1092,6 @@ CLI_SURFACE = {
         (('--stat',), 'stat', None, None, True, ['g', 'f', 'j'], None, 'statistic: G, F or J'),
         (('--m',), 'envelope_m', 199, None, False, None, 'int',
          'number of CSR simulations (default 199)'),
-        (('--svg',), 'svg', False, 0, False, None, None, 'also write an SVG line chart'),
     ],
     'simulate': [
         (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,

@@ -31,7 +31,7 @@ from palmpat import (
     substream_seed,
     trapezoid_integrate,
 )
-from palmpat._pool import MAX_TASKS, resolve_workers
+from palmpat._pool import MAX_TASKS, MAX_WORKERS, resolve_workers
 from palmpat.cli import cmd_count, main, parse_points_csv
 from palmpat.errors import check_count
 from palmpat.seeding import rng_from_seed
@@ -213,13 +213,21 @@ def test_each_own_cap_is_allowed_and_one_above_it_is_not(site, monkeypatch):
         call(cap)
 
 
+def _no_pool(workers):
+    raise AssertionError(f"a pool of {workers} workers was started")
+
+
 def test_thread_count_is_a_count_and_zero_means_one_worker_per_cpu(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("palmpat._pool"), "_pool", _no_pool)
     monkeypatch.setenv("PALMPAT_THREADS", "0")
     assert resolve_workers() == (os.cpu_count() or 1)
-    monkeypatch.setenv("PALMPAT_THREADS", "-1")
-    with pytest.raises(InvalidInputError,
-                       match=r"^PALMPAT_THREADS must be an integer >= 0, got -1$"):
-        resolve_workers()
+    monkeypatch.setenv("PALMPAT_THREADS", str(MAX_WORKERS))
+    assert resolve_workers() == MAX_WORKERS == 256
+    for raw, need in (("-1", "an integer >= 0"), ("257", "at most 256")):
+        monkeypatch.setenv("PALMPAT_THREADS", raw)
+        with pytest.raises(InvalidInputError,
+                           match=f"^PALMPAT_THREADS must be {need}, got {raw}$"):
+            resolve_workers()
 
 
 @pytest.mark.parametrize("counter", [-1, 1.5, True, "1"])

@@ -185,10 +185,10 @@ PATHOLOGIES = {
                                                   5).coords, 9),
     "p=1 sigma=50": (lambda: simulate_reproduction(W3000, 1500, ReproductionParams(1.0, 50.0),
                                                    5).coords, 9),
-    "unit square": (lambda: RNG.uniform(0, 1, (50_000, 2)), 2),
+    "unit square": (lambda: RNG.uniform(0, 1, (50_000, 2)), 5),
     "opposite corners": (lambda: np.vstack([RNG.uniform(0, 1, (25_000, 2)),
-                                            2999.0 + RNG.uniform(0, 1, (25_000, 2))]), 2),
-    "coincident": (lambda: np.full((50_000, 2), 1234.5), 2),
+                                            2999.0 + RNG.uniform(0, 1, (25_000, 2))]), 5),
+    "coincident": (lambda: np.full((50_000, 2), 1234.5), 5),
 }
 
 
