@@ -17,11 +17,11 @@ _lib = None  # the loaded library once loaded, False once it failed (forces ever
 
 def load():
     """The compiled ``_native.c``, loaded once per process; None when it cannot
-    be (logged once). A build deletes the cache's other libraries, never a build
-    in progress."""
+    be (logged once). Builds are never deleted: each is keyed by its inputs, so
+    checkouts and numpy versions that share the cache keep their own."""
     global _lib
     if _lib is None:
-        import contextlib, ctypes, hashlib, stat, subprocess, tempfile
+        import ctypes, hashlib, stat, subprocess, tempfile
         from pathlib import Path
         try:
             src = Path(__file__).with_name("_native.c")
@@ -39,9 +39,6 @@ def load():
                 subprocess.run(["cc", *flags, src, npyrandom, "-lm", "-o", tmp],
                                check=True, capture_output=True)
                 os.replace(tmp, path)
-                for stale in set(cache.glob("native-*.so")) - {path}:  # not *.tmp
-                    with contextlib.suppress(OSError):
-                        stale.unlink()
             lib = ctypes.CDLL(str(path))
             i64, real, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
             lib.sample_reproduction.restype = i64

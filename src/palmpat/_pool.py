@@ -49,7 +49,8 @@ def resolve_workers() -> int:
         workers = int(raw)
     except ValueError:
         raise InvalidInputError(f"{ENV_WORKERS} must be an integer, got {raw!r}")
-    return check_count(workers, ENV_WORKERS, 0, MAX_WORKERS) or os.cpu_count() or 1
+    workers = check_count(workers, ENV_WORKERS, 0, MAX_WORKERS)
+    return workers or min(os.cpu_count() or 1, MAX_WORKERS)
 
 
 def map_tasks(fn: Callable[[_T], _R], tasks: Sequence[_T]) -> list[_R]:

@@ -109,20 +109,11 @@ class PointPattern:
     @cached_property
     def tree(self):
         """scipy's ``cKDTree`` on ``coords``, built on first use and shared by
-        every statistic of this pattern; ``nearest_distances`` says when it
-        answers. scipy is imported here, on first use."""
+        every statistic of this pattern; ``nearest_neighbor_distances`` says
+        when it answers. scipy is imported here, on first use."""
         from scipy.spatial import cKDTree
 
         return cKDTree(self.coords)
-
-
-def check_distance_scale(window: Window) -> None:
-    """Refuse a window side outside [1e-150, 1e150], where squared distances
-    overflow or turn subnormal; ``nearest_distances`` checks every pattern here."""
-    sides = (window.width, window.height)
-    if not 1e-150 <= min(sides) <= max(sides) <= 1e150:
-        raise InvalidInputError(f"window sides {sides} lie outside [1e-150, 1e150]; "
-                                "rescale the coordinates")
 
 
 class Box(NamedTuple):
@@ -150,39 +141,34 @@ def iou(a, b):
     return out[()]
 
 
-def nearest_neighbor_distances(pattern: PointPattern, k: int = 1) -> np.ndarray:
-    """Per-point distances to the k nearest other points, ascending.
-
-    Returns an (n, k) array; row i holds the k smallest distances from
-    point i to the remaining points. Exact, and coincident points yield zero
-    distances. ``nearest_distances`` answers, by the kernel or the tree.
-    """
-    n = len(pattern)
-    if n < 2:
-        raise InvalidInputError(f"nearest-neighbor query needs at least 2 points, got {n}")
-    check_count(k, "k", most=n - 1)
-    return nearest_distances(pattern, k=k)
-
-
-def nearest_distances(pattern: PointPattern, queries: np.ndarray | None = None,
-                      k: int = 1) -> np.ndarray:
-    """The (m, k) distances, ascending, from each query row to its k nearest
-    points of ``pattern``, or with no queries from each point to its k nearest
-    others (m = n > k).
+def nearest_neighbor_distances(pattern: PointPattern, k: int = 1,
+                               queries: np.ndarray | None = None) -> np.ndarray:
+    """The (m, k) distances, ascending, from each query row to its k <= n
+    nearest points of ``pattern``, or with no queries from each of its n >= 2
+    points to the k <= n - 1 nearest others (m = n). Exact; coincident points
+    give zero distances. A window side outside [1e-150, 1e150] is refused
+    (after n and k): the squares below would overflow or turn subnormal.
 
     The one kernel-or-tree rule: the compiled grid kernel (``_native.c``)
     answers when k = 1, the library loads and the kernel stays within its work
     budget (tight clusters exceed it); the k-d tree ``pattern.tree`` answers
     the rest. Both compute ``sqrt(dx*dx + dy*dy)`` alike, so the bytes are the
-    same either way. The window's scale is checked first (``check_distance_scale``).
+    same either way.
     """
-    check_distance_scale(pattern.window)
+    n = len(pattern)
+    if queries is None and n < 2:
+        raise InvalidInputError(f"nearest-neighbor query needs at least 2 points, got {n}")
+    check_count(k, "k", most=n - 1 if queries is None else n)
+    w = pattern.window
+    if not 1e-150 <= min(w.width, w.height) <= max(w.width, w.height) <= 1e150:
+        raise InvalidInputError(f"window sides {(w.width, w.height)} lie outside "
+                                "[1e-150, 1e150]; rescale the coordinates")
     if queries is not None:  # the kernel reads C-contiguous float rows
         queries = np.ascontiguousarray(finite_rows(queries, 2, "queries"))
-    q, m = (None, len(pattern)) if queries is None else (queries.ctypes.data, len(queries))
-    dist, w = np.empty((m, 1)), pattern.window
+    q, m = (None, n) if queries is None else (queries.ctypes.data, len(queries))
+    dist = np.empty((m, 1))
     if k == 1 and (lib := _native.load()) and lib.nearest_distances(
-            pattern.coords.ctypes.data, len(pattern), q, m, *w.lo, *w.hi, dist.ctypes.data) == 0:
+            pattern.coords.ctypes.data, n, q, m, *w.lo, *w.hi, dist.ctypes.data) == 0:
         return dist
     if queries is None:  # column 0 is the point itself, or a tied zero among coincident points
         return np.ascontiguousarray(pattern.tree.query(pattern.coords, k=k + 1)[0][:, 1:])

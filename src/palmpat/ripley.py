@@ -18,9 +18,8 @@ are always compared with the same estimator:
   window and by x within each for faster queries; F sorts the reference
   distances, so their order cannot change a byte.
 * G's nearest-neighbour distances, F's reference distances and ``nn_stats``
-  all come from ``geometry.nearest_distances``, whose one rule picks the
-  compiled grid kernel or the pattern's k-d tree; both give the same bytes.
-  The window's sides must lie in [1e-150, 1e150].
+  all come from ``geometry.nearest_neighbor_distances``, which states its
+  kernel-or-tree rule and the window's scale bound.
 * J is left undefined (NaN) wherever F(d) == 1.
 """
 from __future__ import annotations
@@ -31,8 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, check_count
-from .geometry import (PointPattern, Window, increasing_values, nearest_distances,
-                       nearest_neighbor_distances)
+from .geometry import PointPattern, Window, increasing_values, nearest_neighbor_distances
 from .seeding import DEFAULT_SEED, rng_from_seed
 
 DEFAULT_GRID_STEPS = 100
@@ -102,7 +100,8 @@ def f_function(
         raise InvalidInputError("F function needs a nonempty pattern")
     seed = check_count(seed, "seed", 0, None)  # before the cache, which cannot hash every bad seed
     n_ref = max(1000, len(pattern)) if n_ref is None else check_count(n_ref, "n_ref")
-    dist = nearest_distances(pattern, _references(pattern.window, n_ref, seed))[:, 0]
+    refs = _references(pattern.window, n_ref, seed)
+    dist = nearest_neighbor_distances(pattern, queries=refs)[:, 0]
     dist.sort()  # so the order of the references cannot change a byte
     return _empirical_cdf(dist, grid)
 

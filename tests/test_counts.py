@@ -58,6 +58,8 @@ COUNTS = {
     "nn_stats.bins": (lambda v: nn_stats(PATTERN, 1, v), "bins", 1),
     "nn_stats.k": (lambda v: nn_stats(PATTERN, v), "k", 1),
     "nearest_neighbor_distances.k": (lambda v: nearest_neighbor_distances(PATTERN, v), "k", 1),
+    "nearest_neighbor_distances.k to queries": (
+        lambda v: nearest_neighbor_distances(PATTERN, v, PATTERN.coords[:3]), "k", 1),
 }
 
 
@@ -176,6 +178,8 @@ OWN_CAPS = {
     "fit task count": (COUNTS["fit.n_trials"][0], "fit task count", MAX_TASKS),
     "nearest_neighbor_distances.k": (COUNTS["nearest_neighbor_distances.k"][0], "k",
                                      len(PATTERN) - 1),
+    "nearest_neighbor_distances.k to queries": (
+        COUNTS["nearest_neighbor_distances.k to queries"][0], "k", len(PATTERN)),
     "nn_stats.k": (COUNTS["nn_stats.k"][0], "k", len(PATTERN) - 1),
     "TileLayout.stride": (lambda v: TileLayout(800, v), "stride", 800),
 }
@@ -220,7 +224,9 @@ def _no_pool(workers):
 def test_thread_count_is_a_count_and_zero_means_one_worker_per_cpu(monkeypatch):
     monkeypatch.setattr(importlib.import_module("palmpat._pool"), "_pool", _no_pool)
     monkeypatch.setenv("PALMPAT_THREADS", "0")
-    assert resolve_workers() == (os.cpu_count() or 1)
+    assert resolve_workers() == min(os.cpu_count() or 1, MAX_WORKERS)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    assert resolve_workers() == MAX_WORKERS
     monkeypatch.setenv("PALMPAT_THREADS", str(MAX_WORKERS))
     assert resolve_workers() == MAX_WORKERS == 256
     for raw, need in (("-1", "an integer >= 0"), ("257", "at most 256")):

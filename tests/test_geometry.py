@@ -152,6 +152,22 @@ def test_knn_k_out_of_range():
         nearest_neighbor_distances(p, 3)
 
 
+def test_knn_to_queries_matches_brute_force_up_to_k_n():
+    p = pattern_on(UNIT, [[0.1, 0.1], [0.2, 0.2], [0.9, 0.9]])
+    queries = np.array([[0.1, 0.1], [0.5, 0.0]])
+    brute = np.sort(np.linalg.norm(queries[:, None] - p.coords[None], axis=2), axis=1)
+    for k in (1, 2, 3):
+        np.testing.assert_allclose(nearest_neighbor_distances(p, k, queries), brute[:, :k],
+                                   rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_knn_refuses_a_non_finite_query_row(bad):
+    p = pattern_on(UNIT, [[0.1, 0.1], [0.2, 0.2]])
+    with pytest.raises(InvalidInputError, match=r"^queries must be an \(n, 2\) array of finite"):
+        nearest_neighbor_distances(p, 1, [[0.5, 0.5], [bad, 0.5]])
+
+
 def test_knn_matches_brute_force_on_uniform_points():
     rng = np.random.default_rng(42)
     coords = rng.uniform(0, 100, size=(200, 2))

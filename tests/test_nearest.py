@@ -1,6 +1,7 @@
 """The compiled grid kernel against the k-d tree it falls back to, by the one
-rule of ``geometry.nearest_distances``: the same bytes on awkward inputs, and at
-most 1.5x the tree's time on the tight clusters where a uniform grid is quadratic."""
+rule of ``geometry.nearest_neighbor_distances``: the same bytes on awkward inputs,
+and at most 1.5x the tree's time on the tight clusters where a uniform grid is
+quadratic."""
 import importlib
 import time
 
@@ -38,12 +39,12 @@ def gave_up(pattern):
 
 
 def kernel_distances(pattern, queries=None):
-    """``nearest_distances`` at k = 1 by the kernel alone, as a flat array: None
-    where it gives up, which is where the tree (patched here to raise) would answer."""
+    """``nearest_neighbor_distances`` at k = 1 by the kernel alone, as a flat array:
+    None where it gives up, which is where the tree (patched here to raise) would answer."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PointPattern, "tree", property(gave_up))
         try:
-            return geometry.nearest_distances(pattern, queries)[:, 0]
+            return geometry.nearest_neighbor_distances(pattern, queries=queries)[:, 0]
         except KernelGaveUp:
             return None
 
@@ -153,6 +154,13 @@ def test_a_cluster_on_four_corner_cells_stays_on_the_kernel(corner, kernel):
             assert_kernel_matches_tree(pattern, rest)
         else:
             assert kernel_distances(pattern) is None
+
+
+def test_g_of_coincident_points_stays_on_the_kernel(kernel):
+    # each query stops at its first zero, so 5e4 points on one site stay within the budget
+    pattern = PointPattern(Window(0.0, 0.0, 3000.0, 3000.0), np.full((50_000, 2), 1234.5))
+    g = kernel_distances(pattern)
+    assert g is not None and not g.any()
 
 
 @pytest.mark.parametrize("seed", range(3))

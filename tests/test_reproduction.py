@@ -267,21 +267,26 @@ def test_failed_compile_logs_one_line_and_gives_the_same_bytes(compiled_sampler,
     assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
 
 
-def test_a_build_removes_stale_libraries_but_not_builds_in_progress(compiled_sampler,
-                                                                  tmp_path, monkeypatch):
+def test_a_build_keeps_other_libraries_and_the_next_load_runs_no_compiler(
+        compiled_sampler, tmp_path, monkeypatch):
+    # another checkout's or numpy version's build, and a build in progress
     cache = tmp_path / f"palmpat-{os.getuid()}"
     cache.mkdir(mode=0o700)
-    (cache / "native-deadbeef.so").write_bytes(b"stale")
+    (cache / "native-deadbeef.so").write_bytes(b"another build")
     (cache / "native-cafe.so.4242.tmp").write_bytes(b"another process is building")
     monkeypatch.setattr(native, "_lib", None)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # a cache without this build
     window = Window(0.0, 0.0, 100.0, 60.0)
     pattern = simulate_reproduction(window, 200, ReproductionParams(0.7, 5.0), 1)
     assert native._lib
-    [lib] = [p.name for p in cache.glob("*.so")]  # the one just built
-    assert lib != "native-deadbeef.so"
-    assert sorted(p.name for p in cache.iterdir()) == sorted([lib, "native-cafe.so.4242.tmp"])
+    [lib] = {p.name for p in cache.glob("*.so")} - {"native-deadbeef.so"}  # just built
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [lib, "native-deadbeef.so", "native-cafe.so.4242.tmp"])
     assert pattern.coords.tobytes() == brute_reproduction(window, 200, 0.7, 5.0, 1)[0].tobytes()
+    runs = []
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: runs.append(args))
+    monkeypatch.setattr(native, "_lib", None)
+    assert native.load() and runs == []  # the cached build, with no compiler
 
 
 def test_shared_cache_directory_is_refused(tmp_path, monkeypatch, caplog):
