@@ -1,6 +1,8 @@
 """Postprocessing for tiled detector output: patch-to-global coordinates,
 NMS across overlapping tiles in one pass over the close box pairs, and
-count scoring against labeled centers; ``geometry.finite_rows`` reads input."""
+count scoring against labeled centers. ``geometry.close_pairs`` finds the
+close pairs in plain numpy, so nothing here imports scipy;
+``geometry.finite_rows`` reads input."""
 from __future__ import annotations
 
 import math
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, check_count, check_real
-from .geometry import Box, finite_rows, iou
+from .geometry import Box, close_pairs, finite_rows, iou
 
 DEFAULT_PATCH_SIZE = 800
 DEFAULT_STRIDE = 400
@@ -95,22 +97,24 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> np.ndarray
 
     Only box pairs that can intersect are compared: a pair that does not
     intersect has IoU 0, which is below any threshold in (0, 1], so it can
-    never suppress. Two boxes intersect only if their centres lie within
-    the largest box extent of each other in every axis, so one k-d tree
-    pair query finds every candidate pair, and ``geometry.iou`` scores them
-    all at once. One pass over the close pairs, by their first-visited box,
-    settles each box before the pairs it starts, so the kept list is exactly
-    that of comparing each candidate with every kept box. The cost is about
-    O(n log n + pairs of centres within the largest extent), which tiles bound
-    by the patch; one box that spans the area makes it O(n^2) in time and memory.
+    never suppress. Two boxes intersect only if their centres lie within the
+    sum of their half-extents of each other in every axis. So the boxes up to
+    4x the median half-extent pair among themselves at twice the largest of
+    their half-extents, and the few larger boxes pair with every box at twice
+    the largest half-extent, each by one ``geometry.close_pairs`` search;
+    ``geometry.iou`` scores all the pairs at once. One pass over the close
+    pairs, by their first-visited box, settles each box before the pairs it
+    starts, so the kept list is exactly that of comparing each candidate with
+    every kept box. The cost is about O(n + pairs of ordinary boxes within
+    twice the largest ordinary half-extent + n per larger box), so a box that
+    spans the area costs one pass over the others.
     """
-    from scipy.spatial import cKDTree  # here, so that importing palmpat loads no scipy
-
     boxes = finite_rows(boxes, 5, "boxes")
     _raise_first(_box_checks(boxes))
     iou_threshold = check_real(iou_threshold, "iou_threshold", 0.0, 1.0, low_open=True)
-    n = len(boxes)
     order = np.argsort(-boxes[:, 4], kind="stable")
+    if not len(boxes):
+        return order
     # Row k of the arrays below is the k-th box visited.
     ranked = boxes[order]
     x0, y0, x1, y1 = ranked[:, :4].T
@@ -118,15 +122,26 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> np.ndarray
     # Halved before adding so that neither sum overflows.
     centres = np.column_stack((0.5 * x0 + 0.5 * x1, 0.5 * y0 + 0.5 * y1))
     half = np.maximum(0.5 * x1 - 0.5 * x0, 0.5 * y1 - 0.5 * y0)
-    reach = 2.0 * float(half.max(initial=0.0))
-    # Pad for rounding in the centre and extent arithmetic.
-    reach += 1e-9 * (reach + float(np.abs(centres).max(initial=0.0)))
-    # Pairs come as (i, j) with i < j: box i is visited first, so only it
-    # can suppress the other.
-    i, j = cKDTree(centres).query_pairs(reach, p=np.inf, output_type="ndarray").T
-    close = np.flatnonzero(iou(ranked[i], ranked[j]) >= iou_threshold)
+    # Padded for rounding in the centre and extent arithmetic.
+    pad = 1e-9 * float(np.abs(centres).max())
+
+    def reach(halves):
+        widest = 2.0 * float(halves.max(initial=0.0))
+        return widest + 1e-9 * widest + pad
+
+    above = half > 4.0 * float(np.median(half))
+    small, large = np.flatnonzero(~above), np.flatnonzero(above)
+    own = centres[small]
+    i, j = close_pairs(own, own, reach(half[small]))
+    li, lj = close_pairs(centres[large], centres, reach(half[large]))
+    # Every pair as (earlier, later): box i is visited first, so only it can
+    # suppress the other. A larger box meets itself, which i < j drops, and
+    # each other larger box twice, which the walk below does not mind.
+    li, lj = np.minimum(large[li], lj), np.maximum(large[li], lj)
+    i, j = np.concatenate((small[i], li)), np.concatenate((small[j], lj))
+    close = np.flatnonzero((i < j) & (iou(ranked[i], ranked[j]) >= iou_threshold))
     close = close[np.argsort(i[close])]
-    suppressed = np.zeros(n, dtype=bool)
+    suppressed = np.zeros(len(boxes), dtype=bool)
     for a, b in zip(i[close].tolist(), j[close].tolist()):
         if not suppressed[a]:
             suppressed[b] = True
@@ -168,26 +183,23 @@ def match_counts(detected, labeled, radius: float = DEFAULT_MATCH_RADIUS) -> Mat
     ``detected`` and ``labeled`` are (n, 2) coordinate arrays. Candidate
     pairs are those within ``radius``; they are matched in ascending
     distance order (ties: lower labeled index, then lower detected index),
-    each point used at most once. One k-d tree query finds the candidate
-    pairs, so the cost is about O(n log n + candidate pairs).
+    each point used at most once. One ``geometry.close_pairs`` search finds
+    the candidate pairs, so the cost is about O(n + candidate pairs).
     """
-    from scipy.spatial import cKDTree
-
     radius = check_real(radius, "radius", 0.0, low_open=True)
     detected = finite_rows(detected, 2, "detected")
     labeled = finite_rows(labeled, 2, "labeled")
     n_lab, n_det = len(labeled), len(detected)
 
-    # Query a hair wide, then gate on the recomputed distance so the
+    # Search a hair wide, then gate on the recomputed distance, so that the
     # "<= radius" rule is exact under one distance definition.
-    ball = radius * (1.0 + 1e-12) + 1e-12
-    pairs = cKDTree(labeled).sparse_distance_matrix(cKDTree(detected), ball,
-                                                    output_type="ndarray")
+    li, di = close_pairs(labeled, detected, radius * (1.0 + 1e-12) + 1e-12)
+    with np.errstate(over="ignore"):  # a radius near the float range
+        dx, dy = (detected[di, c] - labeled[li, c] for c in (0, 1))
     # math.hypot, not np.hypot: the two differ in the last bit on some pairs.
-    delta = detected[pairs["j"]] - labeled[pairs["i"]]
-    dist = np.array(list(map(math.hypot, delta[:, 0].tolist(), delta[:, 1].tolist())))
+    dist = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
     near = dist <= radius
-    li, di, dist = pairs["i"][near], pairs["j"][near], dist[near]
+    li, di, dist = li[near], di[near], dist[near]
     order = np.lexsort((di, li, dist))
 
     used_labeled, used_detected = bytearray(n_lab), bytearray(n_det)

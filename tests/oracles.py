@@ -171,6 +171,15 @@ def brute_nms(boxes, threshold):
     return kept
 
 
+def brute_close_pairs(a, b, reach, same=False):
+    """Every (i, j) with both coordinate differences at most ``reach``, by a
+    double loop in Python floats (a difference past the float range is inf);
+    with ``same`` only i < j, as a self search of ``a`` returns them."""
+    a, b = [tuple(map(float, row)) for row in a], [tuple(map(float, row)) for row in b]
+    return {(i, j) for i, (ax, ay) in enumerate(a) for j, (bx, by) in enumerate(b)
+            if (i < j or not same) and abs(ax - bx) <= reach and abs(ay - by) <= reach}
+
+
 def brute_to_global(layout, rows):
     """Patch-local (tile_row, tile_col, box...) rows moved into global
     coordinates one row at a time with Python floats: the tile offset is

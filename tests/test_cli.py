@@ -358,11 +358,27 @@ def test_crashed_worker_is_one_line_data_error(points_csv, tmp_path, capsys, mon
     capsys.readouterr()
 
 
+MERGE_AND_COUNT_RUN = """
+import sys
+from pathlib import Path
+from palmpat.cli import main
+out = Path(sys.argv[1])
+(out / "detections.csv").write_text("tile_row,tile_col,x_min,y_min,x_max,y_max,confidence\\n"
+                                    "0,0,10,10,30,30,0.9\\n0,1,0,12,20,28,0.8\\n"
+                                    "2,2,5,5,15,15,0.7\\n")
+(out / "labeled.csv").write_text("x,y\\n20,20\\n31,29\\n60,60\\n")
+assert main(["merge", "--detections", str(out / "detections.csv"), "--patch-size", "40",
+             "--stride", "10", "--iou", "0.3", "--out-dir", str(out)]) == 0
+assert main(["count", "--detected", str(out / "merged_centers.csv"),
+             "--labeled", str(out / "labeled.csv"), "--out-dir", str(out)]) == 0
+"""
+
 SCIPY_FREE_RUN = """
 import sys
 import palmpat.cli
-from palmpat import (DistanceGrid, ReproductionParams, Window, envelope, fit, j_function,
-                     simulate_csr, simulate_reproduction)
+from palmpat import (DistanceGrid, ReproductionParams, TileLayout, Window, centers, envelope,
+                     fit, j_function, match_counts, merge_nms, simulate_csr,
+                     simulate_reproduction, to_global)
 window = Window(0.0, 0.0, 100.0, 100.0)
 pattern = simulate_csr(window, 60, seed=1)
 grid = DistanceGrid.default(window, 20)
@@ -370,18 +386,34 @@ j_function(pattern, grid, 200, seed=2)  # G and F too
 envelope(pattern, grid, "F", m=19, seed=3, n_ref=200)
 observed = simulate_reproduction(window, 60, ReproductionParams(0.5, 8.0), seed=4)
 fit(observed, [0.3, 0.6], [5.0, 10.0], 2, grid, 200, seed=5)
-assert "scipy.spatial" not in sys.modules, "scipy.spatial was imported"
+boxes = to_global(TileLayout(40, 10), [[0, 0, 10, 10, 30, 30, 0.9], [0, 1, 0, 12, 20, 28, 0.8]])
+match_counts(centers(boxes[merge_nms(boxes, 0.3)]), [[20.0, 20.0]], 5.0)
+""" + MERGE_AND_COUNT_RUN + """
+assert "scipy" not in sys.modules, "scipy was imported"
 """
 
 
-def test_the_statistics_and_the_cli_import_no_scipy_while_the_library_loads():
-    if importlib.import_module("palmpat._native").load() is None:
-        pytest.skip("the compiled library cannot be built on this host")
+def _run_script(script, tmp_path):
     src = Path(palmpat.cli.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "PALMPAT_THREADS": "2"}
-    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_the_statistics_and_the_cli_import_no_scipy_while_the_library_loads(tmp_path):
+    if importlib.import_module("palmpat._native").load() is None:
+        pytest.skip("the compiled library cannot be built on this host")
+    proc = _run_script(SCIPY_FREE_RUN, tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_cli_merge_and_count_run_where_scipy_cannot_be_imported(tmp_path):
+    """merge and count need no scipy, whether or not the compiled library loads."""
+    proc = _run_script("import sys\nsys.modules['scipy'] = None\n" + MERGE_AND_COUNT_RUN,
+                       tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "n_matched,2\n" in (tmp_path / "count_report.csv").read_text()
+    assert len((tmp_path / "merged_boxes.csv").read_text().splitlines()) == 3
 
 
 def _no_pool(workers):

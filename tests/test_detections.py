@@ -198,8 +198,10 @@ _box = st.builds(lambda x, y, w, h, c: Box(x, y, x + w, y + h, c),
 def _crowded_boxes(draw):
     """Small integer-grid boxes, so duplicates, nesting and shared edges are
     common, optionally with copies of some boxes, one long thin box that
-    sets the search reach along one axis only, and a translation to
-    coordinates where rounding is coarse."""
+    sets the search reach along one axis only, up to three square boxes of
+    12 to 1000 units (perhaps two copies of one), about or far past the
+    median box's 4x cut, above which a box pairs with every box on its own,
+    and a translation to coordinates where rounding is coarse."""
     boxes = draw(st.lists(_box, max_size=30))
     if boxes:
         copies = draw(st.lists(st.sampled_from(boxes), max_size=8))
@@ -209,6 +211,13 @@ def _crowded_boxes(draw):
         long = draw(st.sampled_from([40.0, 1000.0]))
         w, h = (long, short) if draw(st.booleans()) else (short, long)
         boxes.append(Box(x - w / 2, y - h / 2, x + w / 2, y + h / 2, draw(_confidence)))
+    huge = st.builds(lambda x, y, side, c: Box(x, y, x + side, y + side, c),
+                     _near(3).map(lambda v: v - 2.0), _near(3).map(lambda v: v - 2.0),
+                     st.sampled_from([12.0, 16.0, 40.0, 1000.0]), _confidence)
+    large = draw(st.lists(huge, max_size=2))
+    if large and draw(st.booleans()):
+        large.append(Box(*large[0]))
+    boxes += large
     shift = draw(st.sampled_from([0.0, 1e6 + 0.1, -3e7]))
     boxes = [Box(x0 + shift, y0 - shift, x1 + shift, y1 - shift, c)
              for x0, y0, x1, y1, c in boxes]
@@ -225,6 +234,11 @@ def _crowded_boxes(draw):
 @example(boxes=[Box(0, 0, 4, 4, 0.5), Box(1, 1, 2, 2, 0.9)], threshold=1 / 16)
 @example(boxes=[Box(0, 0, 1, 1, 0.2 if c == "b" else 0.5) for c in "bbaaaaaabbabaaabbaa"],
          threshold=0.5)  # ties that an unstable sort reorders
+@example(boxes=[Box(0, 0, 12, 12, 0.9)] + [Box(k, k, k + 1, k + 1, 0.5) for k in range(11)],
+         threshold=1e-9)  # a window-sized box suppresses every box it meets
+@example(boxes=[Box(0, 0, 1, 1, 0.9), Box(0, 0, 1, 1, 0.5), Box(-1, -1, 13, 13, 0.7),
+                Box(-1, -1, 13, 13, 0.7), Box(0, 0, 12, 12, 0.8)],
+         threshold=0.5)  # larger boxes that suppress each other, found from both
 def test_nms_matches_brute_force_on_degenerate_inputs(boxes, threshold):
     kept = nms_boxes(boxes, threshold)
     expected = brute_nms(boxes, threshold)
@@ -232,11 +246,10 @@ def test_nms_matches_brute_force_on_degenerate_inputs(boxes, threshold):
     assert all(a is b for a, b in zip(kept, expected))
 
 
-def test_nms_scales_to_a_site():
-    """About 10^5 boxes: 3*10^4 crowns each seen by every 800-px tile at
-    stride 400 that holds it whole, with per-tile jitter and confidence."""
-    rng = np.random.default_rng(2024)
-    n_crowns, side, patch, stride = 30_000, 24_000.0, 800.0, 400.0
+def _tiled_site(rng, n_crowns, side, patch=800.0, stride=400.0):
+    """Global boxes of ``n_crowns`` crowns in a ``side``-wide square, each
+    seen by every patch-wide tile at ``stride`` that holds it whole, with
+    per-tile jitter and confidence."""
     centre = rng.uniform(25.0, side - 25.0, (n_crowns, 2))
     half = rng.uniform(10.0, 25.0, (n_crowns, 1))
     lo, hi = centre - half, centre + half
@@ -248,7 +261,14 @@ def test_nms_scales_to_a_site():
     jitter = rng.normal(0.0, 1.5, (crown.size, 4))
     rows = np.hstack([lo[crown], hi[crown]]) + jitter
     conf = rng.uniform(0.05, 1.0, crown.size)
-    boxes = np.column_stack((rows, conf))
+    return np.column_stack((rows, conf))
+
+
+def test_nms_scales_to_a_site():
+    """About 10^5 boxes: 3*10^4 crowns in a 24,000-unit square, seen by
+    800-unit tiles at stride 400."""
+    n_crowns = 30_000
+    boxes = _tiled_site(np.random.default_rng(2024), n_crowns, 24_000.0)
     assert len(boxes) > 100_000
 
     start = time.perf_counter()
@@ -256,6 +276,32 @@ def test_nms_scales_to_a_site():
     assert time.perf_counter() - start < 30.0
     assert 0.95 * n_crowns <= len(kept) <= n_crowns
     assert (np.diff(boxes[kept, 4]) <= 0.0).all()
+
+
+@pytest.mark.slow
+def test_one_window_sized_box_costs_one_pass_over_the_others():
+    """2·10^4 tiled boxes plus one box over the whole site merge within 3x
+    the time of the 2·10^4 alone (best of 3 each): the larger box pairs with
+    every box once, not every pair of boxes with each other."""
+    side = 10_000.0
+    boxes = _tiled_site(np.random.default_rng(7), 6_000, side)
+    assert len(boxes) >= 20_000
+    spanned = np.vstack((boxes, [0.0, 0.0, side, side, 0.5]))
+
+    def best_of_3(rows):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            kept = merge_nms(rows, 0.5)
+            times.append(time.perf_counter() - start)
+        return min(times), kept
+
+    alone, kept = best_of_3(boxes)
+    with_box, kept_with_box = best_of_3(spanned)
+    assert with_box <= 3.0 * alone
+    # The window-sized box meets every box with IoU far below 0.5.
+    assert kept_with_box.tolist() == sorted(
+        kept.tolist() + [len(boxes)], key=lambda k: (-spanned[k, 4], k))
 
 
 def test_nms_threshold_validation():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palmpat import (
@@ -12,7 +12,8 @@ from palmpat import (
     merge_nms,
     nearest_neighbor_distances,
 )
-from oracles import brute_knn_distances
+from palmpat.geometry import close_pairs
+from oracles import brute_close_pairs, brute_knn_distances
 
 UNIT = Window(0.0, 0.0, 1.0, 1.0)
 
@@ -222,3 +223,74 @@ def test_knn_matches_brute_force_property(seed, n):
         nearest_neighbor_distances(p, k), brute_knn_distances(coords, k),
         rtol=1e-12, atol=0,
     )
+
+
+# ---------------------------------------------------------------- close pairs
+
+
+def _lattice(k):
+    return st.lists(st.tuples(st.integers(-k, k), st.integers(-k, k)), max_size=30)
+
+
+_coordinate = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([0.0, 5e-324, -1e300, 1e300, -1.7e308, 1.7e308]))
+
+
+@st.composite
+def _pair_search(draw):
+    """Rows ``a`` and ``b`` and a reach. Lattice rows scaled by ``unit``
+    give coincident rows and pairs exactly ``reach`` apart across cell
+    edges; ``a`` spreads three times wider than ``b``, so some of its rows
+    lie outside the box around ``b``; the largest reach passes ``b``'s span,
+    and the shifts and the largest unit put spans near +-1e300. The other
+    branch draws any finite coordinates and reach, up to spans that
+    overflow."""
+    if draw(st.booleans()):
+        unit = draw(st.sampled_from([1.0, 0.1, 3.0, 2.0 ** -30, 1e299]))
+        shift = draw(st.sampled_from([0.0, 1e6 + 0.1, -3e7, 1e300]))
+        reach = unit * draw(st.sampled_from([0, 1, 2, 3, 40]))
+        a, b = ([(x * unit + shift, y * unit - shift) for x, y in draw(_lattice(k))]
+                for k in (15, 5))
+    else:
+        a, b = (draw(st.lists(st.tuples(_coordinate, _coordinate), max_size=20))
+                for _ in range(2))
+        reach = draw(st.floats(min_value=0.0, max_value=1e308)
+                     | st.sampled_from([0.0, 1.0, 1e300]))
+    return np.array(a, dtype=float).reshape(-1, 2), np.array(b, dtype=float).reshape(-1, 2), reach
+
+
+def assert_pairs_within_reach(a, b, reach):
+    """close_pairs returns each pair within reach once and no other; a self
+    search of ``a`` (``b is a``) returns them as i < j."""
+    i, j = close_pairs(a, b, reach)
+    got = list(zip(i.tolist(), j.tolist()))
+    assert i.dtype == j.dtype == np.intp
+    assert len(set(got)) == len(got)
+    assert set(got) == brute_close_pairs(a, b, reach, same=b is a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_pair_search())
+@example(case=(np.empty((0, 2)), np.empty((0, 2)), 1.0))
+@example(case=(np.empty((0, 2)), np.zeros((3, 2)), 1.0))
+@example(case=(np.zeros((3, 2)), np.empty((0, 2)), 1.0))
+@example(case=(np.zeros((4, 2)), np.zeros((5, 2)), 0.0))  # coincident rows
+@example(case=(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]),
+               np.array([[1.0, 0.0], [3.0, 3.0]]), 1.0))  # exactly at reach
+@example(case=(np.array([[-0.1, 0.0], [-0.5, 0.0], [-0.2, 0.0]]),
+               np.array([[-0.5, 0.0], [-0.2, 0.0]]), 0.1))  # 2 cells apart unless padded
+@example(case=(np.array([[-1e300, 1e300]]), np.array([[1e300, -1e300], [-1e300, 1e300]]),
+               1e300))
+def test_close_pairs_are_the_pairs_within_reach(case):
+    a, b, reach = case
+    assert_pairs_within_reach(a, b, reach)
+    assert_pairs_within_reach(a, a, reach)
+    assert_pairs_within_reach(b, b, reach)
+
+
+def test_close_pairs_on_a_line_pair_only_neighbours():
+    # 4·10^4 rows 1 apart on a line of zero height, with a reach of 1: the
+    # cells follow the line, about one per row.
+    line = np.column_stack((np.arange(40_000.0), np.zeros(40_000)))
+    i, j = close_pairs(line, line, 1.0)
+    assert sorted(zip(i.tolist(), j.tolist())) == [(k, k + 1) for k in range(39_999)]
