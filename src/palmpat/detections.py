@@ -105,9 +105,12 @@ def merge_nms(boxes, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> np.ndarray
     ``geometry.iou`` scores all the pairs at once. One pass over the close
     pairs, by their first-visited box, settles each box before the pairs it
     starts, so the kept list is exactly that of comparing each candidate with
-    every kept box. The cost is about O(n + pairs of ordinary boxes within
-    twice the largest ordinary half-extent + n per larger box), so a box that
-    spans the area costs one pass over the others.
+    every kept box. The cost is about O(n log n + pairs of ordinary boxes
+    within twice the largest ordinary half-extent + n per larger box), so a
+    box that spans the area costs one pass over the others, and a box far
+    away costs no more than one nearby. Boxes stacked within one reach of
+    each other still pair with each other, so a pile of copies of one box
+    costs n^2.
     """
     boxes = finite_rows(boxes, 5, "boxes")
     _raise_first(_box_checks(boxes))
@@ -184,7 +187,7 @@ def match_counts(detected, labeled, radius: float = DEFAULT_MATCH_RADIUS) -> Mat
     pairs are those within ``radius``; they are matched in ascending
     distance order (ties: lower labeled index, then lower detected index),
     each point used at most once. One ``geometry.close_pairs`` search finds
-    the candidate pairs, so the cost is about O(n + candidate pairs).
+    the candidate pairs, so the cost is about O(n log n + candidate pairs).
     """
     radius = check_real(radius, "radius", 0.0, low_open=True)
     detected = finite_rows(detected, 2, "detected")

@@ -146,12 +146,15 @@ def close_pairs(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarray,
     ``|a[i] - b[j]| <= reach`` in both axes, each pair once. With ``a is b``
     a row is not paired with itself and each pair comes as i < j.
 
-    ``b`` is filed in square cells wider than ``reach``, about 4·len(b) at
-    most, and each row of ``a`` gathers the 3x3 cells around its own: three
-    runs of neighbouring cells, since a row of cells is contiguous. A self
-    search gathers only the rest of its own cell, the next cell and the three
-    cells above. The cost is O(len(a) + len(b) + pairs in the gathered
-    cells).
+    ``b`` is filed in square cells just wider than ``reach``, numbered row by
+    row, and each row of ``a`` gathers the 3x3 cells around its own: three
+    runs of cell numbers, each found by a binary search of ``b``'s sorted
+    cell numbers, so only occupied cells cost memory. A self search gathers
+    only the rest of its own cell, the next cell and the three cells above.
+    The cost is O((len(a) + len(b)) log len(b) + pairs in the gathered
+    cells), whatever the span, unless ``reach`` is below 2^-30 of ``b``'s
+    span: the cells are then that wide, so that a cell number fits in 64
+    bits.
     """
     empty = np.empty(0, dtype=np.intp)
     if not (len(a) and len(b)):
@@ -161,37 +164,38 @@ def close_pairs(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarray,
     x0, y0 = 0.5 * float(b[:, 0].min()), 0.5 * float(b[:, 1].min())
     sx, sy = 0.5 * float(b[:, 0].max()) - x0, 0.5 * float(b[:, 1].max()) - y0
     # The half side is padded above half the reach, so that rounding cannot
-    # put a pair two cells apart, and at least 2^-1000 and 2^-40 of the
-    # larger span, so that no division below is subnormal or overflows.
-    step = max(0.5 * reach * (1.0 + 2.0 ** -20), max(sx, sy) * 2.0 ** -40, 2.0 ** -1000)
-    while (nx := math.floor(sx / step) + 1) * (ny := math.floor(sy / step) + 1) > 4 * len(b):
-        step *= 2.0
-    # Three empty cells pad each side, so that the cells around a row are
-    # never out of range; a row far outside is put two cells out.
+    # put a pair two cells apart; at least 2^-30 of the larger span, so that
+    # a cell number fits in 64 bits; and at least 2^-1000, so that no
+    # division below is subnormal or overflows.
+    step = max(0.5 * reach * (1.0 + 2.0 ** -20), max(sx, sy) * 2.0 ** -30, 2.0 ** -1000)
+    nx, ny = math.floor(sx / step) + 1, math.floor(sy / step) + 1
+    # Three empty cells pad each side, so that the runs around a row never
+    # wrap into the next row of cells; a row far outside is put two cells out.
     width = nx + 6
 
     def cell(column, lo, top):
         with np.errstate(over="ignore"):
             at = np.floor((0.5 * column - lo) / step)
-        return np.clip(at, -2, top).astype(np.intp) + 3
+        return np.clip(at, -2, top).astype(np.int64) + 3
 
     def cells(rows):
         return cell(rows[:, 1], y0, ny + 1) * width + cell(rows[:, 0], x0, nx + 1)
 
     key = cells(b)
     order = np.argsort(key)
-    # Rows of cell k are order[start[k]:start[k + 1]].
-    start = np.zeros(width * (ny + 6) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(key, minlength=width * (ny + 6)), out=start[1:])
-    # Row t of (first, end) holds one run of cells for every row of a.
+    key = key[order]
+    # Row t of (first, end) holds one run of cells for every row of a; the
+    # rows of b in cells k..l are order[searchsorted(key, k):searchsorted(key, l + 1)].
+    # The rows of a go in cell order too: a binary search over ascending
+    # queries is several times faster.
     if a is b:
-        rows, key = order, key[order]
-        first = np.stack((np.arange(1, len(b) + 1), start[key + width - 1]))
-        end = np.stack((start[key + 2], start[key + width + 2]))
+        rows = order
+        first = np.stack((np.arange(1, len(b) + 1), np.searchsorted(key, key + width - 1)))
+        end = np.searchsorted(key, np.stack((key + 2, key + width + 2)))
     else:
-        rows = np.arange(len(a))
-        first = cells(a) + np.array([[-width - 1], [-1], [width - 1]])
-        first, end = start[first], start[first + 3]
+        rows = np.argsort(own := cells(a))
+        first = own[rows] + np.array([[-width - 1], [-1], [width - 1]])
+        first, end = np.searchsorted(key, first), np.searchsorted(key, first + 3)
     count = (end - first).ravel()
     i = np.repeat(np.tile(rows, len(end)), count)
     j = order[np.repeat(first.ravel() - (np.cumsum(count) - count), count)

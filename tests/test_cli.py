@@ -376,9 +376,8 @@ assert main(["count", "--detected", str(out / "merged_centers.csv"),
 SCIPY_FREE_RUN = """
 import sys
 import palmpat.cli
-from palmpat import (DistanceGrid, ReproductionParams, TileLayout, Window, centers, envelope,
-                     fit, j_function, match_counts, merge_nms, simulate_csr,
-                     simulate_reproduction, to_global)
+from palmpat import (DistanceGrid, ReproductionParams, Window, envelope, fit, j_function,
+                     simulate_csr, simulate_reproduction)
 window = Window(0.0, 0.0, 100.0, 100.0)
 pattern = simulate_csr(window, 60, seed=1)
 grid = DistanceGrid.default(window, 20)
@@ -386,8 +385,6 @@ j_function(pattern, grid, 200, seed=2)  # G and F too
 envelope(pattern, grid, "F", m=19, seed=3, n_ref=200)
 observed = simulate_reproduction(window, 60, ReproductionParams(0.5, 8.0), seed=4)
 fit(observed, [0.3, 0.6], [5.0, 10.0], 2, grid, 200, seed=5)
-boxes = to_global(TileLayout(40, 10), [[0, 0, 10, 10, 30, 30, 0.9], [0, 1, 0, 12, 20, 28, 0.8]])
-match_counts(centers(boxes[merge_nms(boxes, 0.3)]), [[20.0, 20.0]], 5.0)
 """ + MERGE_AND_COUNT_RUN + """
 assert "scipy" not in sys.modules, "scipy was imported"
 """

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -294,3 +296,22 @@ def test_close_pairs_on_a_line_pair_only_neighbours():
     line = np.column_stack((np.arange(40_000.0), np.zeros(40_000)))
     i, j = close_pairs(line, line, 1.0)
     assert sorted(zip(i.tolist(), j.tolist())) == [(k, k + 1) for k in range(39_999)]
+
+
+def test_close_pairs_memory_ignores_one_far_row():
+    """A dense cluster plus one row 10^6 cluster widths away: the cells stay
+    as narrow as the reach, so the cluster is not filed in one wide cell
+    with every pair of its rows gathered, whether the far row is searched
+    from or searched in."""
+    cluster = np.random.default_rng(5).uniform(0.0, 1.0, (3_000, 2))
+    stray = np.vstack((cluster, [[1e6, 1e6]]))
+    for a, b in ((stray, stray), (cluster, stray), (stray, cluster)):
+        tracemalloc.start()
+        i, j = close_pairs(a, b, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2e6  # gathering every pair of the cluster takes above 50 MB
+        near = (np.abs(a[:, None] - b[None]) <= 0.01).all(axis=2)
+        if b is a:
+            near = np.triu(near, 1)
+        assert sorted(zip(i.tolist(), j.tolist())) == list(zip(*np.nonzero(near)))
