@@ -126,9 +126,12 @@ static inline double axis_clearance(const axis_t *a, int64_t clo, int64_t chi, d
  * queries are the points themselves and each skips its own index (the tree's
  * second neighbour); m is then n. The points are counting-sorted into about
  * n / 2 near-square cells, and each query searches rings of cells outward until
- * its best squared distance is 0 (a hinted-rare test, so the loop keeps its speed)
- * or at most that of any point outside the searched block. Returns 0, -1 once the
- * visits pass the work budget, or -2 if memory runs out; out is then incomplete. */
+ * its best squared distance is 0 or at most that of any point outside the searched
+ * block. The inner loop takes the minimum without a branch (the query's own index
+ * reads as infinitely far), since on a fresh pattern a data-dependent branch there
+ * mispredicts; only the stop at a zero distance branches, hinted rare. Returns 0,
+ * -1 once the visits pass the work budget, or -2 if memory runs out; out is then
+ * incomplete. */
 int64_t nearest_distances(const double *pts, int64_t n, const double *qs, int64_t m,
                           double x0, double y0, double x1, double y1, double *out)
 {
@@ -181,12 +184,10 @@ int64_t nearest_distances(const double *pts, int64_t n, const double *qs, int64_
                     int64_t at = start[c];
                     for (; at < start[c + 1]; at++) {
                         const double dx = qx - sorted[2 * at], dy = qy - sorted[2 * at + 1];
-                        const double d = dx * dx + dy * dy;
-                        if (d < best && at != self) {
-                            best = d;
-                            if (__builtin_expect(d == 0.0, 0))  /* coincident: none nearer */
-                                break;
-                        }
+                        const double d = at != self ? dx * dx + dy * dy : INFINITY;
+                        best = d < best ? d : best;  /* a minsd, not a branch */
+                        if (__builtin_expect(best == 0.0, 0))  /* coincident: none nearer */
+                            break;
                     }
                     visits += 1 + at - start[c];
                 }

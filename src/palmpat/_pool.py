@@ -1,9 +1,10 @@
 """Worker-pool helpers for the embarrassingly parallel loops.
 
-Tasks carry their own derived seeds, so mapping them over any number of
-workers gives bit-identical results; the reduction happens in submission
-order. ``PALMPAT_THREADS`` is the one setting for the worker count (0 or
-unset = one worker per CPU, at most 256); the library takes no worker argument.
+Tasks carry a master seed and their own indices, and the worker derives the
+task's seeds from them by counter, so mapping them over any number of workers
+gives bit-identical results; the reduction happens in submission order.
+``PALMPAT_THREADS`` is the one setting for the worker count (0 or unset = one
+worker per CPU, at most 256); the library takes no worker argument.
 
 A process keeps one executor for all its calls. It starts on first use, is
 replaced when the worker count changes, is dropped after a worker crash
@@ -32,7 +33,7 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 ENV_WORKERS = "PALMPAT_THREADS"
-MAX_TASKS = 10**6  # per call; each task's seed takes about 11 us before any worker starts
+MAX_TASKS = 10**6  # per call; the parent builds every task and holds every result
 MAX_WORKERS = 256  # the executor forks all of them on its first submit
 
 _executor: ProcessPoolExecutor | None = None

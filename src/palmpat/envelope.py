@@ -9,10 +9,12 @@ quantiles), and two-sided rank p-values
 
     p(d) = (1 + #{sims with |stat - mean| >= |observed - mean|}) / (m + 1)
 
-whose smallest attainable value is 1 / (m + 1). Per-simulation seeds are
-split off the master seed by counter, so the result is reproducible and
-independent of worker count. For the J statistic, grid points where the
-statistic is undefined (F == 1) propagate as NaN through every field.
+whose smallest attainable value is 1 / (m + 1). Simulation i's seeds are
+split off the master seed by the counters (i, 0) for its pattern and (i, 1)
+for F's reference points; each task carries only i and the worker splits
+them, so the result is reproducible and independent of worker count. For the
+J statistic, grid points where the statistic is undefined (F == 1) propagate
+as NaN through every field.
 """
 from __future__ import annotations
 
@@ -42,18 +44,22 @@ class EnvelopeResult:
 def simulate_csr(window: Window, n: int, seed: int = DEFAULT_SEED) -> PointPattern:
     """n points independently uniform over the window (binomial process)."""
     n = check_count(n, "n")
-    rng = rng_from_seed(seed)
-    return PointPattern(window, rng.uniform(window.lo, window.hi, size=(n, 2)))
+    lo, hi = np.array(window.lo), np.array(window.hi)
+    # numpy's uniform(lo, hi) computes lo + (hi - lo) * random(), so these are its bytes
+    return PointPattern(window, lo + (hi - lo) * rng_from_seed(seed).random((n, 2)))
 
 
 def _sim_curve(task) -> np.ndarray:
-    window, n, grid, statistic, n_ref, pattern_seed, f_seed = task
-    pattern = simulate_csr(window, n, pattern_seed)
+    (window, n, grid, statistic, n_ref, seed), i = task
+    pattern = simulate_csr(window, n, substream_seed(seed, i, 0))
+    f_seed = 0 if statistic == "G" else substream_seed(seed, i, 1)  # G reads no references
     return statistic_curve(pattern, grid, statistic, n_ref, f_seed)
 
 
 def _nan_reduce(sims: np.ndarray):
     """Columnwise mean and 95% band, ignoring NaN; all-NaN columns stay NaN."""
+    if not np.isnan(sims).any():  # G and F: nanquantile loops over the columns in Python
+        return (sims.mean(axis=0), *np.quantile(sims, [0.025, 0.975], axis=0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         mean = np.nanmean(sims, axis=0)
@@ -76,12 +82,8 @@ def envelope(
         raise InvalidInputError(f"envelope test needs at least 2 points, got {n}")
 
     observed = statistic_curve(pattern, grid, statistic, n_ref, substream_seed(seed, 0, 1))
-    tasks = [
-        (pattern.window, n, grid, statistic, n_ref,
-         substream_seed(seed, i, 0), substream_seed(seed, i, 1))
-        for i in range(1, m + 1)
-    ]
-    sims = np.stack(map_tasks(_sim_curve, tasks))
+    shared = (pattern.window, n, grid, str(statistic).upper(), n_ref, seed)
+    sims = np.stack(map_tasks(_sim_curve, [(shared, i) for i in range(1, m + 1)]))
 
     sim_mean, lo95, hi95 = _nan_reduce(sims)
     t_obs = np.abs(observed - sim_mean)

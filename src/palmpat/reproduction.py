@@ -25,7 +25,9 @@ the observed F curve and every trial's simulated F curve share, so the
 reference-sampling noise cancels out of the |f - f_sim| comparison
 instead of drowning the between-cell signal (``f_function`` keeps the set
 it drew last, so each process of a fit draws it once; see ``ripley``);
-trial t of cell (ip, is) uses substream (1, ip, is, t) for its simulation.
+trial t of cell (ip, is) uses substream (1, ip, is, t) for its simulation,
+which the worker that runs the trial splits off (its task carries only the
+cell's scan index and t).
 Results are bit-identical for a fixed master seed regardless of worker count
 or execution order.
 """
@@ -179,8 +181,9 @@ def discrepancy(
 
 
 def _trial_discrepancy(task) -> float:
-    (window, n, params, grid, n_ref, obs_g, obs_f, sim_seed, f_seed) = task
-    simulated = simulate_reproduction(window, n, params, sim_seed)
+    (window, n, cells, n_sigmas, grid, n_ref, obs_g, obs_f, seed, f_seed), (k, t) = task
+    sim_seed = substream_seed(seed, 1, *divmod(k, n_sigmas), t)
+    simulated = simulate_reproduction(window, n, cells[k], sim_seed)
     return discrepancy(obs_g, obs_f, simulated, grid, n_ref, f_seed)
 
 
@@ -222,12 +225,8 @@ def fit(
     obs_g = g_function(observed, grid)
     obs_f = f_function(observed, grid, n_ref, f_seed)
 
-    tasks = [
-        (observed.window, n, params, grid, n_ref, obs_g, obs_f,
-         substream_seed(seed, 1, *divmod(k, len(sigmas)), t), f_seed)
-        for k, params in enumerate(cells)
-        for t in range(n_trials)
-    ]
+    shared = (observed.window, n, cells, len(sigmas), grid, n_ref, obs_g, obs_f, seed, f_seed)
+    tasks = [(shared, (k, t)) for k in range(len(cells)) for t in range(n_trials)]
     d = np.reshape(map_tasks(_trial_discrepancy, tasks), (len(cells), n_trials))
     d_total = np.array([sum(row) for row in d.tolist()])  # numpy's sum can differ
     k = int(np.argmin(d_total))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palmpat import (
     DistanceGrid,
@@ -13,6 +15,7 @@ from palmpat import (
     simulate_csr,
 )
 from palmpat._pool import MAX_TASKS
+from palmpat.envelope import _nan_reduce
 from palmpat.errors import check_count
 
 WINDOW = Window(0.0, 0.0, 100.0, 100.0)
@@ -57,7 +60,44 @@ def test_csr_rejects_nonpositive_count():
         simulate_csr(WINDOW, 0, seed=1)
 
 
+@pytest.mark.parametrize("window", [
+    WINDOW,
+    Window(1000.25, 7.5, 1450.0, 7.75),  # non-zero origin
+    Window(-3e5, -2.5, -1e5, 40.0),  # negative origin
+    Window(-1e160, 3e159, 0.0, 1.3e160),  # sides near 1e160
+    Window(2e-158, -3e-160, 2.01e-158, -2e-160),  # sides near 1e-160
+])
+def test_csr_is_numpys_uniform_draw(window):
+    # simulate_csr computes lo + (hi - lo) * random((n, 2)), which is what uniform does
+    for seed in range(300):
+        n = 1 + seed % 37
+        expected = np.random.default_rng(seed).uniform(window.lo, window.hi, (n, 2))
+        assert simulate_csr(window, n, seed).coords.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------- envelope mechanics
+
+
+@st.composite
+def nan_free_curves(draw):
+    """Up to 199 simulated curves of up to 100 grid points, valued like G or F
+    (multiples of 1/levels, so many ties), with some columns all 0 and some all 1."""
+    shape = (draw(st.integers(1, 199)), draw(st.integers(1, 100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 2, 7, 500, 8000]))
+    sims = rng.integers(0, levels + 1, shape) / levels
+    sims.sort(axis=1)  # nondecreasing along the grid, like a CDF
+    sims[:, rng.random(shape[1]) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    sims[:, rng.random(shape[1]) < draw(st.sampled_from([0.0, 0.2]))] = 1.0
+    return sims
+
+
+@settings(max_examples=150, deadline=None)
+@given(sims=nan_free_curves())
+def test_band_without_nan_is_the_nan_ignoring_band(sims):
+    # G and F never hold NaN, so they take np.mean and np.quantile: the same bytes
+    expected = (np.nanmean(sims, axis=0), *np.nanquantile(sims, [0.025, 0.975], axis=0))
+    assert [a.tobytes() for a in _nan_reduce(sims)] == [a.tobytes() for a in expected]
 
 
 @pytest.mark.parametrize("statistic", ["G", "F", "J"])
