@@ -9,9 +9,9 @@
  * - nearest_distances, the uniform-grid nearest-neighbour search behind G and
  *   F. It returns the bytes of scipy's cKDTree.query: the same
  *   sqrt(dx*dx + dy*dy) with no fused multiply-add (-ffp-contract=off), and a
- *   stopping rule that is exact in floating point (see below). Cell edges are
- *   computed wherever they are read, so it allocates only the sorted points,
- *   their indices and each cell's first slot.
+ *   stopping rule that is exact in floating point (see below). For G it refines
+ *   a crowded grid. Cell edges are computed wherever they are read, so it
+ *   allocates only the sorted points, their indices and each cell's first slot.
  *
  * _native.py compiles this file with cc on first use and links numpy's
  * libnpyrandom.a; only bitgen.h is included, so no Python.h is needed. */
@@ -72,8 +72,22 @@ int64_t sample_reproduction(bitgen_t *bg, int64_t n, double x0, double y0, doubl
 /* The work budget: nearest_distances gives up once the cells and points it has
  * visited pass this multiple of (points + queries). A uniform grid is quadratic
  * on tight clusters, where the k-d tree the caller falls back to is not;
- * ordinary patterns take 11-18 visits per point and query. */
+ * ordinary patterns take 11-18 visits per point and query. Self queries refine
+ * a crowded grid first (below), so the budget is reached only where refining
+ * to the cap leaves the clusters crowded, as at p = 1 with sigma = 1 or 10 on
+ * 1500 points in a 3000-unit square. */
 #define VISITS_PER_ITEM 48
+
+/* Self queries (G) on a crowded grid refine it. The crowding is
+ * sum(count^2) / n over the cells: at n / 2 cells it measured 3.0-5.6 on
+ * uniform and fit-size reproduction patterns ((0, 1) through (0.6, 70),
+ * n = 1500), which keep the first grid, and 31-158 on (0.9, 10) clusters at
+ * n = 500 (125-753 at n = 1500). Above CROWDED the grid takes 4x the cells and
+ * counts again, up to MAX_CELLS_PER_POINT cells a point, which bounds its
+ * memory. Reference queries (F) keep the first grid: refining it too made F
+ * give up at (0.8, 10), (0.9, 10) and (0.9, 40), where it answers on this one. */
+#define CROWDED 8
+#define MAX_CELLS_PER_POINT 32
 
 /* One axis of the grid: k cells over [lo, hi], with step = (hi - lo) / k and
  * scale = k / (hi - lo). Cell c's lower edge is computed on each read as
@@ -121,34 +135,58 @@ static inline double axis_clearance(const axis_t *a, int64_t clo, int64_t chi, d
     return best;
 }
 
+/* Lays about `cells` near-square cells over [x0, x1] x [y0, y1] on *ax and *ay
+ * and counts each cell's points into count[c + 1], which must start at 0.
+ * Returns sum(count^2), in integers (at most n^2), as each count steps up by
+ * one: (c + 1)^2 = c^2 + 2c + 1. */
+static int64_t count_cells(const double *pts, int64_t n, int64_t cells, double x0, double y0,
+                           double x1, double y1, axis_t *ax, axis_t *ay, int64_t *count)
+{
+    const double across = sqrt((double)cells) * sqrt((x1 - x0) / (y1 - y0));
+    const int64_t nx = across < 1.0 ? 1 : across > cells ? cells : (int64_t)across;
+    const int64_t ny = cells / nx;
+    *ax = (axis_t){nx, x0, (x1 - x0) / nx, nx / (x1 - x0)};
+    *ay = (axis_t){ny, y0, (y1 - y0) / ny, ny / (y1 - y0)};
+    int64_t squares = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t *c = &count[axis_cell(ay, pts[2 * i + 1]) * nx + axis_cell(ax, pts[2 * i]) + 1];
+        squares += 2 * (*c)++ + 1;
+    }
+    return squares;
+}
+
 /* out[j] = the distance from query j (rows of x, y in qs) to the nearest of the n
  * points in pts, all inside the window [x0, x1] x [y0, y1]. With qs NULL the
  * queries are the points themselves and each skips its own index (the tree's
  * second neighbour); m is then n. The points are counting-sorted into about
- * n / 2 near-square cells, and each query searches rings of cells outward until
- * its best squared distance is 0 or at most that of any point outside the searched
- * block. The inner loop takes the minimum without a branch (the query's own index
- * reads as infinitely far), since on a fresh pattern a data-dependent branch there
- * mispredicts; only the stop at a zero distance branches, hinted rare. Returns 0,
- * -1 once the visits pass the work budget, or -2 if memory runs out; out is then
- * incomplete. */
+ * n / 2 near-square cells; for self queries, 4x as many while the grid is
+ * crowded and below its cap (see CROWDED). Each query searches rings of cells
+ * outward until its best squared distance is 0 or at most that of any point
+ * outside the searched block; that stop is exact on any grid, so the grid's size
+ * changes no output byte. The inner loop takes the minimum without a branch (the
+ * query's own index reads as infinitely far), since on a fresh pattern a
+ * data-dependent branch there mispredicts; only the stop at a zero distance
+ * branches, hinted rare. Returns 0, -1 once the visits pass the work budget, or
+ * -2 if memory runs out; out is then incomplete. */
 int64_t nearest_distances(const double *pts, int64_t n, const double *qs, int64_t m,
                           double x0, double y0, double x1, double y1, double *out)
 {
-    const int64_t cells = n / 2 > 1 ? n / 2 : 1;
-    const double across = sqrt((double)cells) * sqrt((x1 - x0) / (y1 - y0));
-    const int64_t nx = across < 1.0 ? 1 : across > cells ? cells : (int64_t)across;
-    const int64_t ny = cells / nx;
-    const axis_t ax = {nx, x0, (x1 - x0) / nx, nx / (x1 - x0)};
-    const axis_t ay = {ny, y0, (y1 - y0) / ny, ny / (y1 - y0)};
+    int64_t cells = n / 2 > 1 ? n / 2 : 1;
+    axis_t ax, ay;
     int64_t *start = calloc(cells + 1, sizeof(int64_t)), *index = malloc(n * sizeof(int64_t));
     double *sorted = malloc(2 * n * sizeof(double));
     int64_t status = -2;
     if (!(start && index && sorted))
         goto done;
+    while (count_cells(pts, n, cells, x0, y0, x1, y1, &ax, &ay, start) > CROWDED * n && !qs
+           && 4 * cells <= MAX_CELLS_PER_POINT * n) {
+        cells *= 4;
+        free(start);
+        if (!(start = calloc(cells + 1, sizeof(int64_t))))
+            goto done;
+    }
+    const int64_t nx = ax.k, ny = ay.k;
 
-    for (int64_t i = 0; i < n; i++)
-        start[axis_cell(&ay, pts[2 * i + 1]) * nx + axis_cell(&ax, pts[2 * i]) + 1]++;
     for (int64_t c = 0; c < ny * nx; c++)
         start[c + 1] += start[c];
     for (int64_t i = 0; i < n; i++) {  /* the scatter finds each point's cell again */

@@ -57,14 +57,20 @@ def _sim_curve(task) -> np.ndarray:
 
 
 def _nan_reduce(sims: np.ndarray):
-    """Columnwise mean and 95% band, ignoring NaN; all-NaN columns stay NaN."""
-    if not np.isnan(sims).any():  # G and F: nanquantile loops over the columns in Python
+    """Columnwise mean and 95% band, ignoring NaN; all-NaN columns stay NaN.
+    nanquantile loops over the columns in Python, so only the columns holding
+    a NaN go to it; the rest take np.quantile, the same bytes column by column.
+    The mean is vectorised either way."""
+    holed = np.isnan(sims).any(axis=0)
+    if not holed.any():  # G and F
         return (sims.mean(axis=0), *np.quantile(sims, [0.025, 0.975], axis=0))
+    band = np.empty((2, sims.shape[1]))
+    band[:, ~holed] = np.quantile(sims[:, ~holed], [0.025, 0.975], axis=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         mean = np.nanmean(sims, axis=0)
-        lo, hi = np.nanquantile(sims, [0.025, 0.975], axis=0)
-    return mean, lo, hi
+        band[:, holed] = np.nanquantile(sims[:, holed], [0.025, 0.975], axis=0)
+    return mean, band[0], band[1]
 
 
 def envelope(

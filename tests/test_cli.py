@@ -385,6 +385,9 @@ j_function(pattern, grid, 200, seed=2)  # G and F too
 envelope(pattern, grid, "F", m=19, seed=3, n_ref=200)
 observed = simulate_reproduction(window, 60, ReproductionParams(0.5, 8.0), seed=4)
 fit(observed, [0.3, 0.6], [5.0, 10.0], 2, grid, 200, seed=5)
+wide = Window(0.0, 0.0, 1000.0, 1000.0)  # G of tight clusters refines the kernel's grid
+clustered = simulate_reproduction(wide, 500, ReproductionParams(0.9, 10.0), seed=1)
+envelope(clustered, DistanceGrid.default(wide), "G", m=19, seed=7)
 """ + MERGE_AND_COUNT_RUN + """
 assert "scipy" not in sys.modules, "scipy was imported"
 """

@@ -141,19 +141,22 @@ def test_a_point_one_float_across_a_cell_edge_is_searched(lo, hi, toward, kernel
 @pytest.mark.parametrize("corner", [0.0, 1000.0])
 def test_a_cluster_on_four_corner_cells_stays_on_the_kernel(corner, kernel):
     # 800 points in this window make a 20 x 20 grid of 50-unit cells (about n / 2).
-    # Half of them on the 2 x 2 cells at a corner (100 a cell) stay within the
-    # work budget; packed into that corner's one cell, they pass it. Edges one
+    # Half of them go on the 2 x 2 cells at a corner (100 a cell), or packed into
+    # that corner's one cell. G refines that crowded grid, so it stays on the
+    # kernel either way. F keeps the first grid: 300 queries on the 2 x 2 cells
+    # stay within the work budget, and on the one cell they pass it. Edges one
     # cell up merge the low corner's cells, and one cell down the high corner's;
-    # either way the kernel gives up on both patterns there.
+    # either way F gives up on both patterns there.
     window = Window(0.0, 0.0, 1000.0, 1000.0)
     rng = np.random.default_rng(3)
     offsets, rest = rng.uniform(0.0, 1.0, (400, 2)), rng.uniform(0.0, 1000.0, (400, 2))
+    inside = rng.uniform(0.0, 1.0, (300, 2))
     for side in (100.0, 50.0):
         pattern = PointPattern(window, np.vstack([np.abs(corner - side * offsets), rest]))
-        if side == 100.0:
-            assert_kernel_matches_tree(pattern, rest)
-        else:
-            assert kernel_distances(pattern) is None
+        queries = np.abs(corner - side * inside)
+        assert_kernel_matches_tree(pattern, queries if side == 100.0 else rest)
+        if side == 50.0:
+            assert kernel_distances(pattern, queries) is None
 
 
 def test_g_of_coincident_points_stays_on_the_kernel(kernel):
@@ -167,15 +170,19 @@ def test_g_of_coincident_points_stays_on_the_kernel(kernel):
 @pytest.mark.parametrize("p, sigma", [(0.0, 1.0), (0.4, 50.0), (0.5, 60.0), (0.6, 70.0),
                                       (0.9, 10.0)])
 def test_fit_size_patterns(p, sigma, seed, kernel):
+    # G on the (0.9, 10) clusters stays on the kernel by refining its grid
     window = Window(0.0, 0.0, 3000.0, 3000.0)
     pattern = simulate_reproduction(window, 1500, ReproductionParams(p, sigma), seed)
-    refs = ripley._references(window, 8000, seed)
-    if p < 0.9:
-        assert_kernel_matches_tree(pattern, refs)
-    else:  # G gives up on these clusters (the tree is faster there); F answers
-        assert kernel_distances(pattern) is None
-        assert (kernel_distances(pattern, refs).tobytes()
-                == pattern.tree.query(refs, k=1)[0].tobytes())
+    assert_kernel_matches_tree(pattern, ripley._references(window, 8000, seed))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_envelope_size_clusters_stay_on_the_kernel(seed, kernel):
+    # the envelope benchmark's clustered observed patterns: G refines its grid,
+    # F (the default 1000 references at this n) answers on the first one
+    window = Window(0.0, 0.0, 1000.0, 1000.0)
+    pattern = simulate_reproduction(window, 500, ReproductionParams(0.9, 10.0), seed)
+    assert_kernel_matches_tree(pattern, ripley._references(window, 1000, seed))
 
 
 def g_and_f(window, coords):
