@@ -58,18 +58,21 @@ def _sim_curve(task) -> np.ndarray:
 
 def _nan_reduce(sims: np.ndarray):
     """Columnwise mean and 95% band, ignoring NaN; all-NaN columns stay NaN.
-    nanquantile loops over the columns in Python, so only the columns holding
-    a NaN go to it; the rest take np.quantile, the same bytes column by column.
-    The mean is vectorised either way."""
-    holed = np.isnan(sims).any(axis=0)
+    nanquantile loops over the columns in Python, so only the columns partly
+    NaN go to it; all-NaN columns are filled with NaN and the rest take
+    np.quantile, the same bytes column by column. The mean is vectorised
+    either way."""
+    nan = np.isnan(sims)
+    holed = nan.any(axis=0)
     if not holed.any():  # G and F
         return (sims.mean(axis=0), *np.quantile(sims, [0.025, 0.975], axis=0))
-    band = np.empty((2, sims.shape[1]))
+    partly = holed & ~nan.all(axis=0)
+    band = np.full((2, sims.shape[1]), np.nan)
     band[:, ~holed] = np.quantile(sims[:, ~holed], [0.025, 0.975], axis=0)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("ignore", RuntimeWarning)  # the mean of all-NaN columns
         mean = np.nanmean(sims, axis=0)
-        band[:, holed] = np.nanquantile(sims[:, holed], [0.025, 0.975], axis=0)
+    band[:, partly] = np.nanquantile(sims[:, partly], [0.025, 0.975], axis=0)
     return mean, band[0], band[1]
 
 

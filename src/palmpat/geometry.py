@@ -217,11 +217,13 @@ def nearest_neighbor_distances(pattern: PointPattern, k: int = 1,
 
     The one kernel-or-tree rule: the compiled grid kernel (``_native.c``)
     answers when k = 1, the library loads and the kernel stays within its work
-    budget; the k-d tree ``pattern.tree`` answers the rest. Without queries the
-    kernel refines its grid on clustered points (up to 32 cells a point), so
-    only clusters that stay crowded at that cap, such as p = 1 reproduction,
-    exceed the budget; with queries it keeps its first grid. Both compute
-    ``sqrt(dx*dx + dy*dy)`` alike, so the bytes are the same either way.
+    budget; the k-d tree ``pattern.tree`` answers the rest. The kernel files
+    points and queries in one grid and scans each cell's 3x3 block once for
+    all of that cell's queries. Without queries it refines its grid on
+    clustered points (up to 32 cells a point), so only clusters that stay
+    crowded at that cap, such as p = 1 reproduction, exceed the budget; with
+    queries it keeps its first grid. Both compute ``sqrt(dx*dx + dy*dy)``
+    alike, so the bytes are the same either way.
     """
     n = len(pattern)
     if queries is None and n < 2:

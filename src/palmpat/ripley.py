@@ -14,9 +14,7 @@ are always compared with the same estimator:
   in one call (``rng.uniform(window.lo, window.hi, (n_ref, 2))``), so the
   curve is bit-reproducible for a fixed seed; ``n_ref`` defaults to
   max(1000, n). Each process keeps the last set it drew (``_references``),
-  so every F of a fit reads one set, ordered in 16 horizontal strips of the
-  window and by x within each for faster queries; F sorts the reference
-  distances, so their order cannot change a byte.
+  so every F of a fit reads one set.
 * G's nearest-neighbour distances, F's reference distances and ``nn_stats``
   all come from ``geometry.nearest_neighbor_distances``, which states its
   kernel-or-tree rule and the window's scale bound.
@@ -102,17 +100,14 @@ def f_function(
     n_ref = max(1000, len(pattern)) if n_ref is None else check_count(n_ref, "n_ref")
     refs = _references(pattern.window, n_ref, seed)
     dist = nearest_neighbor_distances(pattern, queries=refs)[:, 0]
-    dist.sort()  # so the order of the references cannot change a byte
+    dist.sort()
     return _empirical_cdf(dist, grid)
 
 
 @lru_cache(maxsize=1)
 def _references(window: Window, n_ref: int, seed: int) -> np.ndarray:
-    """The seeded draw, read-only, in strips of y and by x within each (one
-    sort key that cannot overflow), kept until a call with other arguments."""
+    """The seeded draw, read-only, kept until a call with other arguments."""
     refs = rng_from_seed(seed).uniform(window.lo, window.hi, size=(n_ref, 2))
-    strip = np.floor((refs[:, 1] - window.y_min) / window.height * 16)
-    refs = refs[np.argsort(strip + (refs[:, 0] - window.x_min) / window.width)]
     refs.setflags(write=False)
     return refs
 

@@ -93,7 +93,7 @@ def curves(draw):
     sims[:, rng.random(shape[1]) < draw(st.sampled_from([0.0, 0.2]))] = 1.0
     holed = rng.random(shape[1]) < draw(st.sampled_from([0.0, 0.3, 1.0]))
     sims[(rng.random(shape) < draw(st.sampled_from([0.01, 0.5]))) & holed] = np.nan
-    sims[:, rng.random(shape[1]) < draw(st.sampled_from([0.0, 0.2]))] = np.nan
+    sims[:, rng.random(shape[1]) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = np.nan
     return sims
 
 
@@ -105,6 +105,22 @@ def test_band_is_the_nan_ignoring_band(sims):
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
         expected = (np.nanmean(sims, axis=0), *np.nanquantile(sims, [0.025, 0.975], axis=0))
     assert [a.tobytes() for a in _nan_reduce(sims)] == [a.tobytes() for a in expected]
+
+
+@pytest.mark.parametrize("clean, partly", [(50, 10), (0, 10), (0, 0)])
+def test_band_of_all_nan_columns_is_nan(clean, partly):
+    # J's shape: NaN-free columns, then partly NaN ones, then all-NaN ones where F reaches 1
+    rng = np.random.default_rng(clean + partly)
+    sims = np.sort(rng.integers(0, 501, (199, 100)) / 500, axis=1)
+    sims[rng.random((199, 100)) < 0.3] = np.nan
+    sims[:, :clean] = np.sort(rng.integers(0, 501, (199, clean)) / 500, axis=1)
+    sims[:, clean + partly:] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = (np.nanmean(sims, axis=0), *np.nanquantile(sims, [0.025, 0.975], axis=0))
+    reduced = _nan_reduce(sims)
+    assert [a.tobytes() for a in reduced] == [a.tobytes() for a in expected]
+    assert np.isnan(np.array(reduced)[:, clean + partly:]).all()
 
 
 @pytest.mark.parametrize("statistic", ["G", "F", "J"])

@@ -108,6 +108,75 @@ def test_two_points(coords, kernel):
     assert_kernel_matches_tree(pattern, ripley._references(pattern.window, 50, 1))
 
 
+def test_zero_queries_give_an_empty_column_from_the_kernel(kernel):
+    pattern = PointPattern(Window(0.0, 0.0, 10.0, 4.0), [(1.0, 1.0), (3.0, 2.0)])
+    f = kernel_distances(pattern, np.empty((0, 2)))  # None if the tree had to answer
+    assert f is not None and f.shape == (0,)
+    assert geometry.nearest_neighbor_distances(pattern, queries=np.empty((0, 2))).shape == (0, 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_many_queries_in_a_few_cells(seed, kernel):
+    # 200 points make a 10 x 10 grid of 10-unit cells. 3000 references in three
+    # 2-unit squares put about 1000 queries in each of a few cells; 20 more sit
+    # on points. Each cell's block is scanned once for all of its queries.
+    window = Window(0.0, 0.0, 100.0, 100.0)
+    rng = np.random.default_rng(seed)
+    pattern = PointPattern(window, rng.uniform(0.0, 100.0, (200, 2)))
+    squares = [corner + rng.uniform(0.0, 2.0, (1000, 2)) for corner in rng.uniform(0, 98, (3, 2))]
+    assert_kernel_matches_tree(pattern, np.vstack([*squares, pattern.coords[:20]]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24, 50])
+@pytest.mark.parametrize("w, h", [(1.0, 1.0), (5.0, 1.0), (1.0, 5.0), (60.0, 1.0)])
+def test_blocks_clipped_at_every_border_and_corner(n, w, h, kernel):
+    # n + 4 points make grids from 1 x 3 through 27 x 1 and 5 x 5, so the 3x3
+    # blocks are clipped on every side and corner; a point sits in each corner
+    # and a 41 x 41 lattice through the window's edges queries every cell
+    window = Window(0.0, 0.0, w, h)
+    rng = np.random.default_rng(n)
+    corners = [(0.0, 0.0), (w, 0.0), (0.0, h), (w, h)]
+    pattern = PointPattern(window, np.vstack([corners, rng.uniform(0, 1, (n, 2)) * [w, h]]))
+    lattice = np.stack(np.meshgrid(np.linspace(0, w, 41), np.linspace(0, h, 41)), axis=-1)
+    assert_kernel_matches_tree(pattern, lattice.reshape(-1, 2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_far_queries_search_rings_beyond_the_block(seed, kernel):
+    # 300 points make a 12 x 12 grid of 83-unit cells. All but 3 lie in the
+    # window's left tenth, so the other points and the queries on the right
+    # find no point in their 3x3 block and search rings r >= 2.
+    window = Window(0.0, 0.0, 1000.0, 1000.0)
+    rng = np.random.default_rng(seed)
+    coords = np.vstack([rng.uniform((0, 0), (100, 1000), (297, 2)),
+                        [(1000.0, 0.0), (1000.0, 1000.0), (600.0, 500.0)]])
+    pattern = PointPattern(window, coords)
+    queries = rng.uniform((100, 0), (1000, 1000), (500, 2))
+    assert_kernel_matches_tree(pattern, queries)
+    assert (kernel_distances(pattern, queries) > 3 * 1000 / 12).sum() > 100
+
+
+@pytest.mark.parametrize("crowd", [2, 5, 8, 9, 13, 20])
+def test_coincident_points_stop_at_zero_in_crowded_and_other_cells(crowd, kernel):
+    # 200 points make a 10 x 10 grid of 10-unit cells. Cell [40, 50)^2 gets
+    # `crowd` of them, each of its first few repeated once: with more than
+    # CROWDED (8) points the cell scans its own points first (ring 0), else its
+    # whole block, and either way stops at a zero distance wherever in a group
+    # of four it falls. The queries sit on the cell's points and around them.
+    window = Window(0.0, 0.0, 100.0, 100.0)
+    rng = np.random.default_rng(crowd)
+    others = rng.uniform(0.0, 100.0, (400, 2))
+    others = others[~((40 <= others) & (others < 50)).all(axis=1)][: 200 - crowd]
+    repeats = (crowd + 2) // 3
+    inside = rng.uniform(40.0, 50.0, (crowd - repeats, 2))
+    cell = np.vstack([inside, inside[:repeats]])
+    pattern = PointPattern(window, np.vstack([others[:100], cell, others[100:]]))
+    queries = np.vstack([cell, rng.uniform(38.0, 52.0, (300, 2))])
+    assert_kernel_matches_tree(pattern, queries)
+    g = kernel_distances(pattern)[100:100 + crowd]
+    assert not g[:repeats].any() and not g[-repeats:].any() and g[repeats:-repeats].all()
+
+
 def floats_on(x, toward, k):
     """The k-th float after x in the direction of ``toward``."""
     for _ in range(k):

@@ -512,7 +512,7 @@ def test_fit_equals_nested_loop_oracle(ps, sigmas, n_trials, n_ref, workers, mon
                         seed=11), expected)
 
 
-def test_fit_draws_and_orders_its_reference_set_once(monkeypatch):
+def test_fit_draws_its_reference_set_once(monkeypatch):
     monkeypatch.setenv("PALMPAT_THREADS", "1")
     ripley._references.cache_clear()
     window = Window(0.0, 0.0, 100.0, 100.0)

@@ -122,14 +122,14 @@ def test_f_matches_direct_count_with_same_reference_stream():
     pytest.param(Window(-3.0, 0.0, 1e300, 1.0), False, id="1e300-wide"),
     pytest.param(Window(0.0, -1e-300, 1.0, 0.0), False, id="1e-300-high"),
     pytest.param(Window(-5e299, 0.0, 5e299, 1e-300), False, id="both"),
-    # 16 times a side overflows
+    # a side near the top of the float range
     pytest.param(Window(-8e307, -8e307, 8e307, 8e307), False, id="1.6e308-square"),
 ])
 def test_f_matches_direct_count_in_extreme_windows(window, in_scale):
-    # the reference sort key must not overflow (a RuntimeWarning fails the suite)
+    # the reference draw must not overflow (a RuntimeWarning fails the suite)
     refs = ripley._references(window, 300, 8)
     direct = uniform_reference_stream(window, 300, 8)
-    assert sorted(map(tuple, refs.tolist())) == sorted(map(tuple, direct.tolist()))
+    assert refs.tobytes() == direct.tobytes()
     p = simulate_csr(window, 40, seed=6)
     grid = DistanceGrid(np.linspace(0.0, min(window.width, 8.0), 9))
     if in_scale:
@@ -395,7 +395,7 @@ def test_g_f_j_and_nn_stats_of_one_pattern_build_one_tree(monkeypatch):
     assert built == [40]
 
 
-def test_references_are_the_fresh_draw_reordered_read_only_and_cached():
+def test_references_are_the_fresh_draw_read_only_and_cached():
     window = Window(-5.0, 3.0, 400.0, 90.0)
     ripley._references.cache_clear()
     refs = ripley._references(window, 500, 9)
@@ -403,8 +403,7 @@ def test_references_are_the_fresh_draw_reordered_read_only_and_cached():
     assert not refs.flags.writeable
     with pytest.raises(ValueError):
         refs[0, 0] = 0.0
-    assert refs.tobytes() != fresh.tobytes()
-    assert sorted(map(tuple, refs.tolist())) == sorted(map(tuple, fresh.tolist()))
+    assert refs.tobytes() == fresh.tobytes()
     assert ripley._references(window, 500, 9) is refs
     p = simulate_csr(window, 30, seed=1)
     f_function(p, DistanceGrid.default(window, 20), 500, seed=9)
