@@ -56,7 +56,6 @@ from .seeding import DEFAULT_SEED
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 MAX_RANGE_VALUES = 10_000
 

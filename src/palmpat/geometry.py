@@ -211,19 +211,16 @@ def nearest_neighbor_distances(pattern: PointPattern, k: int = 1,
                                queries: np.ndarray | None = None) -> np.ndarray:
     """The (m, k) distances, ascending, from each query row to its k <= n
     nearest points of ``pattern``, or with no queries from each of its n >= 2
-    points to the k <= n - 1 nearest others (m = n). Exact; coincident points
-    give zero distances. A window side outside [1e-150, 1e150] is refused
-    (after n and k): the squares below would overflow or turn subnormal.
+    points to the k <= n - 1 nearest others (m = n). Exact, so coincident
+    points give zero distances, and the bytes are the same whichever path
+    answers. A window side outside [1e-150, 1e150] is refused (after n and k):
+    the squared differences would overflow or turn subnormal.
 
     The one kernel-or-tree rule: the compiled grid kernel (``_native.c``)
     answers when k = 1, the library loads and the kernel stays within its work
-    budget; the k-d tree ``pattern.tree`` answers the rest. The kernel files
-    points and queries in one grid and scans each cell's 3x3 block once for
-    all of that cell's queries. Without queries it refines its grid on
-    clustered points (up to 32 cells a point), so only clusters that stay
-    crowded at that cap, such as p = 1 reproduction, exceed the budget; with
-    queries it keeps its first grid. Both compute ``sqrt(dx*dx + dy*dy)``
-    alike, so the bytes are the same either way.
+    budget; the k-d tree ``pattern.tree`` answers the rest. ``_native.c``'s
+    header and comments describe the kernel's 3x3 block scan, the grid it
+    refines for G and its budget.
     """
     n = len(pattern)
     if queries is None and n < 2:

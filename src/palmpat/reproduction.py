@@ -131,7 +131,7 @@ def simulate_reproduction(
         )
         if diagnostics is not None:
             diagnostics.gaussian_fallbacks += fallbacks
-    return PointPattern(window, np.array(pts))
+    return PointPattern(window, pts)
 
 
 def _scalar_reproduction(rng, n, x0, y0, x1, y1, p, sigma):

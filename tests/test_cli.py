@@ -393,27 +393,64 @@ assert "scipy" not in sys.modules, "scipy was imported"
 """
 
 
-def _run_script(script, tmp_path):
+def _run_python(tmp_path, *args):
+    """``python *args`` in ``tmp_path`` on this checkout's package, with 2 pool workers."""
     src = Path(palmpat.cli.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "PALMPAT_THREADS": "2"}
-    return subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
 def test_the_statistics_and_the_cli_import_no_scipy_while_the_library_loads(tmp_path):
     if importlib.import_module("palmpat._native").load() is None:
         pytest.skip("the compiled library cannot be built on this host")
-    proc = _run_script(SCIPY_FREE_RUN, tmp_path)
+    proc = _run_python(tmp_path, "-c", SCIPY_FREE_RUN, str(tmp_path))
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_cli_merge_and_count_run_where_scipy_cannot_be_imported(tmp_path):
     """merge and count need no scipy, whether or not the compiled library loads."""
-    proc = _run_script("import sys\nsys.modules['scipy'] = None\n" + MERGE_AND_COUNT_RUN,
-                       tmp_path)
+    proc = _run_python(tmp_path, "-c", "import sys\nsys.modules['scipy'] = None\n"
+                       + MERGE_AND_COUNT_RUN, str(tmp_path))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "n_matched,2\n" in (tmp_path / "count_report.csv").read_text()
     assert len((tmp_path / "merged_boxes.csv").read_text().splitlines()) == 3
+
+
+def test_the_palmpat_command_runs_end_to_end(tmp_path):
+    """Every subcommand in its own process, each output feeding the next, then the
+    two refusals: on the kernel where the compiled library loads, else on the tree."""
+    write(tmp_path / "detections.csv", "tile_row,tile_col,x_min,y_min,x_max,y_max,confidence\n"
+                                       "0,0,10,10,30,30,0.9\n0,1,0,12,20,28,0.8\n")
+    write(tmp_path / "bad.csv", b"x,y\n1,2\n\xff\xfe,3\n")
+    points, window = ["--points", "simulated_points.csv"], ["--window", "0", "0", "100", "100"]
+    steps = [
+        (["simulate", "--n", "200", *window, "--seed", "1"], ["simulated_points.csv"]),
+        (["ripley", *points, "--stat", "g", *window], ["ripley_g.csv"]),
+        (["ripley", *points, "--stat", "f", *window], ["ripley_f.csv"]),
+        (["nn-stats", *points, "--k", "5"], ["nn_stats.csv", "nn_histogram.csv"]),
+        (["merge", "--detections", "detections.csv", "--patch-size", "40", "--stride", "10"],
+         ["merged_boxes.csv", "merged_centers.csv"]),
+        (["count", "--detected", "merged_centers.csv", "--labeled", "simulated_points.csv"],
+         ["count_report.csv"]),
+        (["envelope", *points, "--stat", "g", "--m", "19"], ["envelope_g.csv"]),
+        (["envelope", *points, "--stat", "j", "--m", "19"], ["envelope_j.csv"]),
+        (["fit", *points, "--p", "0.2:0.6:0.4", "--sigma", "5", "--trials", "2"],
+         ["fit_table.csv"]),
+    ]
+    fallback = importlib.import_module("palmpat._native").load() is None
+    for argv, outputs in steps:
+        proc = _run_python(tmp_path, "-m", "palmpat.cli", *argv)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert all((tmp_path / name).stat().st_size for name in outputs), argv
+        if argv[0] == "ripley":  # G and F load the library, and say so where it cannot load
+            assert ("compiled library unavailable" in proc.stderr) == fallback, proc.stderr
+    proc = _run_python(tmp_path, "-m", "palmpat.cli", "ripley", *points, "--stat", "g", "--svg")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    proc = _run_python(tmp_path, "-m", "palmpat.cli", "ripley", "--points", "bad.csv",
+                       "--stat", "g")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def _no_pool(workers):
