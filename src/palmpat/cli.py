@@ -16,7 +16,8 @@ points ``x,y``; detections ``tile_row,tile_col,x_min,y_min,x_max,y_max,confidenc
 (plain ``x_min,...,confidence`` with --global); curves ``d,value``; envelopes
 ``d,observed,mean,lo95,hi95,p``; fit table ``p,sigma,d_total,d_1..d_N``.
 
-Every subcommand takes --seed (default 0, never wall-clock). Identical
+ripley, envelope, simulate and fit take --seed (default 0, never
+wall-clock); merge, count and nn-stats draw no random numbers. Identical
 invocations produce byte-identical outputs; PALMPAT_THREADS caps the
 worker count used by fit and envelope (0 or unset = auto).
 
@@ -50,7 +51,8 @@ from .envelope import DEFAULT_SIMULATIONS, EnvelopeResult, envelope, simulate_cs
 from .errors import InvalidInputError, check_count, check_real
 from .geometry import PointPattern, Window
 from .reproduction import DEFAULT_TRIALS, FitResult, ReproductionParams, fit, simulate_reproduction
-from .ripley import DEFAULT_GRID_STEPS, DistanceGrid, NeighborStats, nn_stats, statistic_curve
+from .ripley import (DEFAULT_GRID_STEPS, DEFAULT_NN_BINS, DEFAULT_NN_K, DistanceGrid,
+                     NeighborStats, nn_stats, statistic_curve)
 from .seeding import DEFAULT_SEED
 
 logger = logging.getLogger(__name__)
@@ -217,23 +219,21 @@ def _grid(args, window: Window) -> DistanceGrid:
     return DistanceGrid(np.linspace(0.0, grid_max, steps))
 
 
-def cmd_ripley(args) -> int:
+def cmd_ripley(args) -> None:
     pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     grid = _grid(args, pattern.window)
     curve = statistic_curve(pattern, grid, args.stat, args.n_ref, args.seed)
     _emit(args, f"ripley_{args.stat}.csv", write_curve, grid, curve)
-    return EXIT_OK
 
 
-def cmd_envelope(args) -> int:
+def cmd_envelope(args) -> None:
     pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     grid = _grid(args, pattern.window)
     result = envelope(pattern, grid, args.stat, args.envelope_m, args.seed, args.n_ref)
     _emit(args, f"envelope_{args.stat}.csv", write_envelope, grid, result)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     window = Window(*args.window)
     if (args.p is None) != (args.sigma is None):
         raise InvalidInputError("--p and --sigma must be given together (or neither, for CSR)")
@@ -244,10 +244,9 @@ def cmd_simulate(args) -> int:
             window, args.n, ReproductionParams(args.p, args.sigma), args.seed
         )
     _emit(args, "simulated_points.csv", write_csv, ["x", "y"], pattern.coords)
-    return EXIT_OK
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     p_candidates = parse_range(args.p)
     sigma_candidates = parse_range(args.sigma)
     pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
@@ -256,10 +255,9 @@ def cmd_fit(args) -> int:
                  n_ref=args.n_ref, seed=args.seed)
     _emit(args, "fit_table.csv", write_fit_table, result)
     print(f"p*={_fmt(result.best.p)} sigma*={_fmt(result.best.sigma)} d_min={_fmt(result.d_min)}")
-    return EXIT_OK
 
 
-def cmd_merge(args) -> int:
+def cmd_merge(args) -> None:
     if args.global_coords:
         boxes = _read_rows(args.detections, "x_min,y_min,x_max,y_max,confidence")
     else:
@@ -271,10 +269,9 @@ def cmd_merge(args) -> int:
           ["x_min", "y_min", "x_max", "y_max", "confidence"], merged.tolist())
     _emit(args, "merged_centers.csv", write_csv, ["x", "y"], centers(merged))
     print(f"kept {len(merged)} of {len(boxes)} boxes")
-    return EXIT_OK
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> None:
     units = check_real(args.units_per_meter, "units_per_meter", 0.0, low_open=True)
     detected = _read_rows(args.detected, "x,y") / units
     labeled = _read_rows(args.labeled, "x,y") / units
@@ -297,10 +294,9 @@ def cmd_count(args) -> int:
         f"accuracy={_fmt(report.accuracy)} matched={len(report.matched)}/{report.n_labeled} "
         f"shift_mean={_fmt(report.shift_mean)}"
     )
-    return EXIT_OK
 
 
-def cmd_nn_stats(args) -> int:
+def cmd_nn_stats(args) -> None:
     pattern = parse_points_csv(args.points, args.units_per_meter, args.window)
     stats = nn_stats(pattern, args.k, args.bins)
     _emit(
@@ -311,15 +307,15 @@ def cmd_nn_stats(args) -> int:
     )
     _emit(args, "nn_histogram.csv", write_nn_histogram, stats)
     print(f"mean={_fmt(stats.mean)} median={_fmt(stats.median)} std={_fmt(stats.std)}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- wiring
 
 
-def _add_common(sub, points=True):
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                     help=f"master RNG seed (default {DEFAULT_SEED})")
+def _add_common(sub, points=True, seed=True):
+    if seed:
+        sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                         help=f"master RNG seed (default {DEFAULT_SEED})")
     sub.add_argument("--out-dir", default=".", help="output directory (default .)")
     if points:
         sub.add_argument("--points", required=True, help="points CSV with header x,y")
@@ -381,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_fit)
 
     s = subs.add_parser("merge", help="map tiled detections to global coordinates and run NMS")
-    _add_common(s, points=False)
+    _add_common(s, points=False, seed=False)
     s.add_argument("--detections", required=True, help="detections CSV")
     s.add_argument("--global", action="store_true", dest="global_coords",
                    help="detections are already in global coordinates")
@@ -396,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_merge)
 
     s = subs.add_parser("count", help="score detected centers against labeled centers")
-    _add_common(s, points=False)
+    _add_common(s, points=False, seed=False)
     s.add_argument("--detected", required=True, help="detected centers CSV (x,y)")
     s.add_argument("--labeled", required=True, help="labeled centers CSV (x,y)")
     s.add_argument("--radius", type=float, default=DEFAULT_MATCH_RADIUS, dest="match_radius",
@@ -406,9 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_count)
 
     s = subs.add_parser("nn-stats", help="k-nearest-neighbor distance statistics")
-    _add_common(s)
-    s.add_argument("--k", type=int, default=5, help="neighbors per point (default 5)")
-    s.add_argument("--bins", type=int, default=30, help="histogram bins (default 30)")
+    _add_common(s, seed=False)
+    s.add_argument("--k", type=int, default=DEFAULT_NN_K,
+                   help=f"neighbors per point (default {DEFAULT_NN_K})")
+    s.add_argument("--bins", type=int, default=DEFAULT_NN_BINS,
+                   help=f"histogram bins (default {DEFAULT_NN_BINS})")
     s.set_defaults(func=cmd_nn_stats)
 
     # Python 3.11's argparse reads "-3e7" and "-inf" as options, not numbers.
@@ -426,10 +424,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except (InvalidInputError, OSError, MemoryError, BrokenProcessPool) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 def entrypoint() -> None:

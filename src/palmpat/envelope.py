@@ -60,12 +60,10 @@ def _nan_reduce(sims: np.ndarray):
     """Columnwise mean and 95% band, ignoring NaN; all-NaN columns stay NaN.
     nanquantile loops over the columns in Python, so only the columns partly
     NaN go to it; all-NaN columns are filled with NaN and the rest take
-    np.quantile, the same bytes column by column. The mean is vectorised
-    either way."""
+    np.quantile, the same bytes column by column. The mean is one np.nanmean
+    over all columns."""
     nan = np.isnan(sims)
     holed = nan.any(axis=0)
-    if not holed.any():  # G and F
-        return (sims.mean(axis=0), *np.quantile(sims, [0.025, 0.975], axis=0))
     partly = holed & ~nan.all(axis=0)
     band = np.full((2, sims.shape[1]), np.nan)
     band[:, ~holed] = np.quantile(sims[:, ~holed], [0.025, 0.975], axis=0)

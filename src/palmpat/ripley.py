@@ -32,6 +32,7 @@ from .geometry import PointPattern, Window, increasing_values, nearest_neighbor_
 from .seeding import DEFAULT_SEED, rng_from_seed
 
 DEFAULT_GRID_STEPS = 100
+DEFAULT_NN_K, DEFAULT_NN_BINS = 5, 30
 STATISTICS = ("G", "F", "J")
 
 
@@ -145,7 +146,8 @@ def statistic_curve(
     raise InvalidInputError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
 
 
-def nn_stats(pattern: PointPattern, k: int = 5, bins: int = 30) -> NeighborStats:
+def nn_stats(pattern: PointPattern, k: int = DEFAULT_NN_K,
+             bins: int = DEFAULT_NN_BINS) -> NeighborStats:
     """Distribution of each point's mean distance to its k nearest neighbors.
 
     k=1 summarizes plain nearest-neighbor spacing; k=5 the average of the

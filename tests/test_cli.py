@@ -175,9 +175,16 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_unknown_flag_is_usage_error(points_csv, capsys):
-    assert main(["ripley", "--points", points_csv, "--stat", "g", "--bogus"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("argv, flag", [
+    (["ripley", "--points", "pts.csv", "--stat", "g", "--bogus"], "--bogus"),
+    # merge, count and nn-stats draw no random numbers, so they take no --seed
+    (["merge", "--detections", "det.csv", "--seed", "1"], "--seed 1"),
+    (["count", "--detected", "a.csv", "--labeled", "b.csv", "--seed", "1"], "--seed 1"),
+    (["nn-stats", "--points", "pts.csv", "--seed", "1"], "--seed 1"),
+])
+def test_unknown_flag_is_usage_error(argv, flag, capsys):
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):
@@ -1198,7 +1205,6 @@ CLI_SURFACE = {
     'merge': [
         (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
          'show this help message and exit'),
-        (('--seed',), 'seed', 0, None, False, None, 'int', 'master RNG seed (default 0)'),
         (('--out-dir',), 'out_dir', '.', None, False, None, None, 'output directory (default .)'),
         (('--detections',), 'detections', None, None, True, None, None, 'detections CSV'),
         (('--global',), 'global_coords', False, 0, False, None, None,
@@ -1215,7 +1221,6 @@ CLI_SURFACE = {
     'count': [
         (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
          'show this help message and exit'),
-        (('--seed',), 'seed', 0, None, False, None, 'int', 'master RNG seed (default 0)'),
         (('--out-dir',), 'out_dir', '.', None, False, None, None, 'output directory (default .)'),
         (('--detected',), 'detected', None, None, True, None, None, 'detected centers CSV (x,y)'),
         (('--labeled',), 'labeled', None, None, True, None, None, 'labeled centers CSV (x,y)'),
@@ -1227,7 +1232,6 @@ CLI_SURFACE = {
     'nn-stats': [
         (('-h', '--help'), 'help', '==SUPPRESS==', 0, False, None, None,
          'show this help message and exit'),
-        (('--seed',), 'seed', 0, None, False, None, 'int', 'master RNG seed (default 0)'),
         (('--out-dir',), 'out_dir', '.', None, False, None, None, 'output directory (default .)'),
         (('--points',), 'points', None, None, True, None, None, 'points CSV with header x,y'),
         (('--units-per-meter',), 'units_per_meter', 1.0, None, False, None, 'float',
