@@ -12,8 +12,12 @@
  *   stopping rule that is exact in floating point (see below). It works one
  *   cell at a time: each cell's queries scan one copy of the cell's 3x3 block.
  *   For G it refines a crowded grid. Cell edges are computed wherever they are
- *   read, so it allocates only the sorted points and queries, their rows and
- *   cells, each cell's first slot and the block buffer.
+ *   read, so it allocates only the sorted points, their rows and cells, each
+ *   cell's first slot and the block buffer.
+ * - file_queries, which files F's queries into the grid nearest_distances lays
+ *   for n points in the window. That grid depends only on n and the window, so
+ *   a caller that asks F of many patterns of one size with one set of queries
+ *   files the set once and passes the filing to every call.
  *
  * _native.py compiles this file with cc on first use and links numpy's
  * libnpyrandom.a; only bitgen.h is included, so no Python.h is needed. */
@@ -94,10 +98,11 @@ int64_t sample_reproduction(bitgen_t *bg, int64_t n, double x0, double y0, doubl
  * (0.6, 70), n = 1500), which keep the first grid, and 31-158 on (0.9, 10)
  * clusters at n = 500 (125-753 at n = 1500). Above CROWDED the grid takes 4x
  * the cells and counts again, up to MAX_CELLS_PER_POINT cells a point, which
- * bounds its memory. Reference queries (F) keep the first grid: refining it too
- * made F give up at (0.8, 10), (0.9, 10) and (0.9, 40), where it answers on
- * this one. And a cell holding more than CROWDED points is searched ring 0
- * first (see nearest_distances). */
+ * bounds its memory. Reference queries (F) keep the first grid, so it depends
+ * only on n and the window and file_queries can file them once for many
+ * patterns; refining it too made F give up at (0.8, 10), (0.9, 10) and
+ * (0.9, 40), where it answers on this one. And a cell holding more than
+ * CROWDED points is searched ring 0 first (see nearest_distances). */
 #define CROWDED 8
 #define MAX_CELLS_PER_POINT 32
 
@@ -147,7 +152,8 @@ static inline double axis_clearance(const axis_t *a, int64_t clo, int64_t chi, d
     return best;
 }
 
-/* Lays about `cells` near-square cells over [x0, x1] x [y0, y1] on *ax and *ay. */
+/* Lays about `cells` near-square cells over [x0, x1] x [y0, y1] on *ax and *ay;
+ * nx * ny <= cells. */
 static void lay_grid(int64_t cells, double x0, double y0, double x1, double y1, axis_t *ax,
                      axis_t *ay)
 {
@@ -173,8 +179,9 @@ static int64_t file_cells(const double *pts, int64_t n, const axis_t *ax, const 
 }
 
 /* The counting sort after file_cells: count becomes each cell's first slot
- * (cells + 1 entries), and slot s holds row order[s] of rows (x, y) as x[s], y[s]. */
-static void sort_cells(const double *rows, const int64_t *cell, int64_t n, int64_t cells,
+ * (cells + 1 entries), slot s holds row order[s] of rows (x, y) as x[s], y[s],
+ * and cell[s] becomes slot s's cell. */
+static void sort_cells(const double *rows, int64_t *cell, int64_t n, int64_t cells,
                        int64_t *count, int64_t *order, double *x, double *y)
 {
     for (int64_t c = 0; c < cells; c++)
@@ -188,6 +195,9 @@ static void sort_cells(const double *rows, const int64_t *cell, int64_t n, int64
     for (int64_t c = cells; c > 0; c--)  /* back to the first slot of each cell */
         count[c] = count[c - 1];
     count[0] = 0;
+    for (int64_t c = 0; c < cells; c++)
+        for (int64_t s = count[c]; s < count[c + 1]; s++)
+            cell[s] = c;
 }
 
 /* Appends sorted slots [from, to) to the block buffer at *len. */
@@ -207,10 +217,12 @@ static inline void pad(double *bx, double *by, int64_t *len)
 }
 
 /* The smallest squared distance from (qx, qy) to buffer slots [from, to), whole
- * groups of four, with four running minima and no branch but the stop at a zero
- * distance, checked once a group and hinted rare. Adds the slots read to *read. */
+ * groups of four, with four running minima and no branch. With `zero` it also
+ * stops at a zero distance, checked once a group and hinted rare: coincident
+ * coordinates share a cell, so only a scan of the cell's own points can meet
+ * one. Adds the slots read to *read. */
 static inline double scan(const double *bx, const double *by, int64_t from, int64_t to,
-                          double qx, double qy, int64_t *read)
+                          double qx, double qy, bool zero, int64_t *read)
 {
     double b0 = INFINITY, b1 = INFINITY, b2 = INFINITY, b3 = INFINITY;
     int64_t i = from;
@@ -226,7 +238,7 @@ static inline double scan(const double *bx, const double *by, int64_t from, int6
         b2 = d2 < b2 ? d2 : b2;
         b3 = d3 < b3 ? d3 : b3;
         i += 4;
-        if (__builtin_expect((b0 == 0.0) | (b1 == 0.0) | (b2 == 0.0) | (b3 == 0.0), 0))
+        if (zero && __builtin_expect((b0 == 0.0) | (b1 == 0.0) | (b2 == 0.0) | (b3 == 0.0), 0))
             break;  /* coincident: none nearer */
     }
     *read += i - from;
@@ -235,44 +247,70 @@ static inline double scan(const double *bx, const double *by, int64_t from, int6
     return b2 < b0 ? b2 : b0;
 }
 
-/* out[j] = the distance from query j (rows of x, y in qs) to the nearest of the n
- * points in pts, all inside the window [x0, x1] x [y0, y1]. With qs NULL the
- * queries are the points themselves and each skips its own index (the tree's
- * second neighbour); m is then n. The points are counting-sorted into about
- * n / 2 near-square cells; for self queries, 4x as many while the grid is
- * crowded and below its cap (see CROWDED). Reference queries are counting-sorted
- * into the same cells; self queries are already sorted.
+/* The cells of the first grid for n points: about n / 2, at least 1. */
+static inline int64_t first_cells(int64_t n)
+{
+    return n / 2 > 1 ? n / 2 : 1;
+}
+
+/* Files the m query rows (x, y) of qs into the grid nearest_distances lays for
+ * n points in the window [x0, x1] x [y0, y1]: the first grid, which it never
+ * refines for queries (see CROWDED). The filing is 4m entries, m each in cell
+ * order: each slot's row of qs, its cell, and its x and y as doubles. Returns
+ * 0, or -2 if memory runs out. */
+int64_t file_queries(const double *qs, int64_t m, int64_t n, double x0, double y0, double x1,
+                     double y1, int64_t *filed)
+{
+    axis_t ax, ay;
+    lay_grid(first_cells(n), x0, y0, x1, y1, &ax, &ay);
+    int64_t *first = calloc(ax.k * ay.k + 1, sizeof(int64_t));
+    double *x = (double *)(filed + 2 * m);
+    if (!first)
+        return -2;
+    file_cells(qs, m, &ax, &ay, filed + m, first);
+    sort_cells(qs, filed + m, m, ax.k * ay.k, first, filed, x, x + m);
+    free(first);
+    return 0;
+}
+
+/* out[j] = the distance from query j to the nearest of the n points in pts, all
+ * inside the window [x0, x1] x [y0, y1]. The queries are file_queries' filing of
+ * m rows for these n points and this window. With filed NULL the queries are the
+ * points themselves and each skips its own index (the tree's second neighbour);
+ * m is then n. The points are counting-sorted into about n / 2 near-square
+ * cells; for self queries, 4x as many while the grid is crowded and below its
+ * cap (see CROWDED).
  *
  * The search works one cell at a time. It copies the cell's 3x3 block into one
  * x/y buffer, the cell's own points first and then the rest of the block as at
  * most 4 runs (each block row is contiguous in sorted order), and scans that
  * buffer for each of the cell's queries; a self query's own slot reads as
  * infinitely far meanwhile. A cell holding more than CROWDED points scans its
- * own points first and stops there if they clear the cell's edges. A query
- * that the block does not settle searches rings r >= 2 of cells outward. Each
- * stops once its best squared distance is 0 or at most that of any point
- * outside the searched cells; that stop is exact on any grid and in any order
- * of search, so neither changes an output byte. Returns 0, -1 once the visits
- * (cells and points read, copies included) pass the work budget, or -2 if
- * memory runs out; out is then incomplete. */
-int64_t nearest_distances(const double *pts, int64_t n, const double *qs, int64_t m,
+ * own points first, stopping at a zero distance, and stops there if they clear
+ * the cell's edges. A query that the block does not settle searches rings
+ * r >= 2 of cells outward. Each stops once its best squared distance is at most
+ * that of any point outside the searched cells; that stop is exact on any grid
+ * and in any order of search, so neither changes an output byte. Returns 0, -1
+ * once the visits (cells and points read, copies included) pass the work
+ * budget, or -2 if memory runs out; out is then incomplete. */
+int64_t nearest_distances(const double *pts, int64_t n, const int64_t *filed, int64_t m,
                           double x0, double y0, double x1, double y1, double *out)
 {
     if (m == 0)  /* nothing to answer; and malloc(0) may return NULL */
         return 0;
-    int64_t cells = n / 2 > 1 ? n / 2 : 1;
+    int64_t cells = first_cells(n);
     axis_t ax, ay;
     int64_t *start = calloc(cells + 1, sizeof(int64_t)), *index = malloc(n * sizeof(int64_t));
-    int64_t *cell = malloc((n > m ? n : m) * sizeof(int64_t)), *qstart = NULL, *qorder = NULL;
+    int64_t *cell = malloc(n * sizeof(int64_t));
     /* the sorted points' x and y, then the block buffer's: the block's points
      * (at most n) and up to 3 pads after the own run and 3 at the end */
     double *sx = malloc((4 * n + 16) * sizeof(double)), *sy = sx + n, *bx = sy + n,
-           *by = bx + n + 8, *qsorted = NULL;
+           *by = bx + n + 8;
     int64_t status = -2;
     if (!(start && index && cell && sx))
         goto done;
     lay_grid(cells, x0, y0, x1, y1, &ax, &ay);
-    while (file_cells(pts, n, &ax, &ay, cell, start) > CROWDED * n && !qs
+    while (file_cells(pts, n, &ax, &ay, cell, start) > CROWDED * n && !filed
            && 4 * cells <= MAX_CELLS_PER_POINT * n) {
         cells *= 4;
         lay_grid(cells, x0, y0, x1, y1, &ax, &ay);
@@ -282,23 +320,15 @@ int64_t nearest_distances(const double *pts, int64_t n, const double *qs, int64_
     }
     const int64_t nx = ax.k, ny = ay.k;
     sort_cells(pts, cell, n, nx * ny, start, index, sx, sy);
-    if (qs) {  /* reference queries are sorted into the points' cells too */
-        qstart = calloc(nx * ny + 1, sizeof(int64_t));
-        qorder = malloc(m * sizeof(int64_t));
-        qsorted = malloc(2 * m * sizeof(double));
-        if (!(qstart && qorder && qsorted))
-            goto done;
-        file_cells(qs, m, &ax, &ay, cell, qstart);
-        sort_cells(qs, cell, m, nx * ny, qstart, qorder, qsorted, qsorted + m);
-    }
-    const int64_t *first = qs ? qstart : start, *order = qs ? qorder : index;
-    const double *qxs = qs ? qsorted : sx, *qys = qs ? qsorted + m : sy;
+    /* the queries in cell order: the filing's, or the points' own (sy = sx + m) */
+    const int64_t *order = filed ? filed : index, *qcell = filed ? filed + m : cell;
+    const double *qxs = filed ? (const double *)(filed + 2 * m) : sx, *qys = qxs + m;
 
     const int64_t budget = VISITS_PER_ITEM * (n + m);
     int64_t visits = 0;
     status = -1;
     for (int64_t t = 0; t < m;) {  /* one occupied cell at a time */
-        const int64_t c = cell[order[t]], cx = c % nx, cy = c / nx;
+        const int64_t c = qcell[t], cx = c % nx, cy = c / nx;
         const int64_t xlo = cx > 0 ? cx - 1 : 0, xhi = cx + 1 < nx ? cx + 1 : nx - 1;
         const int64_t ylo = cy > 0 ? cy - 1 : 0, yhi = cy + 1 < ny ? cy + 1 : ny - 1;
         /* the block: the own points (padded when crowded), then each row's runs */
@@ -317,8 +347,8 @@ int64_t nearest_distances(const double *pts, int64_t n, const double *qs, int64_
         pad(bx, by, &len);
         visits += (yhi - ylo + 1) * (xhi - xlo + 1) + len;
 
-        for (; t < first[c + 1]; t++) {
-            const int64_t self = qs ? -1 : t - start[c];
+        for (; t < m && qcell[t] == c; t++) {
+            const int64_t self = filed ? -1 : t - start[c];
             const double qx = qxs[t], qy = qys[t];
             double best = INFINITY, saved = 0.0;
             if (self >= 0) {
@@ -326,10 +356,10 @@ int64_t nearest_distances(const double *pts, int64_t n, const double *qs, int64_
                 bx[self] = INFINITY;
             }
             if (crowded)
-                best = scan(bx, by, 0, own, qx, qy, &visits);
+                best = scan(bx, by, 0, own, qx, qy, true, &visits);
             if (!crowded || best > fmin(axis_clearance(&ax, cx, cx, qx),
                                         axis_clearance(&ay, cy, cy, qy)))
-                best = fmin(best, scan(bx, by, crowded ? own : 0, len, qx, qy, &visits));
+                best = fmin(best, scan(bx, by, crowded ? own : 0, len, qx, qy, false, &visits));
             if (self >= 0)
                 bx[self] = saved;
             if (visits > budget)
@@ -367,9 +397,6 @@ done:
     free(start);
     free(index);
     free(cell);
-    free(qstart);
-    free(qorder);
-    free(qsorted);
     free(sx);
     return status;
 }

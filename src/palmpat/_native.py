@@ -1,7 +1,8 @@
 """The compiled library: ``_native.c``'s reproduction sampler and grid
-nearest-neighbour kernel, built with ``cc`` into a private cache on first use
-and loaded once per process by ``load``. Its callers keep a pure-Python
-fallback each (the scalar sampler loop, the k-d tree) that gives the same bytes.
+nearest-neighbour kernel (with its query filing), built with ``cc`` into a
+private cache on first use and loaded once per process by ``load``. Its callers
+keep a pure-Python fallback each (the scalar sampler loop, the k-d tree) that
+gives the same bytes.
 """
 from __future__ import annotations
 
@@ -45,6 +46,8 @@ def load():
             lib.sample_reproduction.argtypes = [ptr, i64, *[real] * 6, i64, ptr]
             lib.nearest_distances.restype = i64
             lib.nearest_distances.argtypes = [ptr, i64, ptr, i64, *[real] * 4, ptr]
+            lib.file_queries.restype = i64
+            lib.file_queries.argtypes = [ptr, i64, i64, *[real] * 4, ptr]
             _lib = lib
         except (OSError, subprocess.SubprocessError, AttributeError) as exc:
             logger.warning("compiled library unavailable, using the scalar sampler loop and "

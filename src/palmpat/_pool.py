@@ -14,8 +14,9 @@ pool worker included, starts its own and never shuts the parent's down. Its
 workers are forked while no other thread is alive (after the old executor has
 been joined) and started by a fork server otherwise, since a child forked from
 a process with threads can deadlock. Workers inherit no state prepared for one
-call: each fills its own caches (``ripley._references``, ``_native._lib``) on
-first use, from the task's own arguments and seeds.
+call: each fills its own caches (``ripley._references`` and its kernel filing
+``ripley._filed_references``, ``_native._lib``) on first use, from the task's
+own arguments and seeds.
 """
 from __future__ import annotations
 

@@ -203,7 +203,10 @@ def match_counts(detected, labeled, radius: float = DEFAULT_MATCH_RADIUS) -> Mat
     dist = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
     near = dist <= radius
     li, di, dist = li[near], di[near], dist[near]
-    order = np.lexsort((di, li, dist))
+    # np.lexsort((di, li, dist)) in two cheaper sorts: the unique pair key, then
+    # the distances, stably, in that order
+    order = np.argsort(li * n_det + di)
+    order = order[np.argsort(dist[order], kind="stable")]
 
     used_labeled, used_detected = bytearray(n_lab), bytearray(n_det)
     taken = []

@@ -27,7 +27,7 @@ from ._pool import MAX_TASKS, map_tasks
 from .errors import InvalidInputError, check_count
 from .geometry import PointPattern, Window
 from .ripley import DistanceGrid, statistic_curve
-from .seeding import DEFAULT_SEED, rng_from_seed, substream_seed
+from .seeding import DEFAULT_SEED, substream_seed, uniform_rows
 
 DEFAULT_SIMULATIONS = 199
 
@@ -43,10 +43,7 @@ class EnvelopeResult:
 
 def simulate_csr(window: Window, n: int, seed: int = DEFAULT_SEED) -> PointPattern:
     """n points independently uniform over the window (binomial process)."""
-    n = check_count(n, "n")
-    lo, hi = np.array(window.lo), np.array(window.hi)
-    # numpy's uniform(lo, hi) computes lo + (hi - lo) * random(), so these are its bytes
-    return PointPattern(window, lo + (hi - lo) * rng_from_seed(seed).random((n, 2)))
+    return PointPattern(window, uniform_rows(window.lo, window.hi, check_count(n, "n"), seed))
 
 
 def _sim_curve(task) -> np.ndarray:

@@ -207,8 +207,33 @@ def close_pairs(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarray,
     return (np.minimum(i, j), np.maximum(i, j)) if a is b else (i, j)
 
 
+class FiledQueries:
+    """Query rows for ``nearest_neighbor_distances`` that keep the kernel's
+    filing of them (``_native.c``'s ``file_queries``) for the last pattern size
+    and window they were asked against. That filing depends on nothing else, so
+    one object passed to many calls of one size and window is filed once. The
+    tree reads ``rows``."""
+
+    def __init__(self, rows):
+        self.rows = np.ascontiguousarray(finite_rows(rows, 2, "queries"))  # as the kernel reads
+        self._filed = (None, None, None)  # (n, window), the filing and its address
+
+    def filing(self, lib, n: int, window: Window) -> tuple[np.ndarray, int]:
+        """The rows filed into the grid that ``lib`` lays for n points in
+        ``window``, and its address; hold the filing while the kernel reads it."""
+        grid, filing, address = self._filed
+        if grid != (n, window):
+            filing = np.empty(4 * len(self.rows), dtype=np.int64)  # file_queries' 4 a row
+            address = filing.ctypes.data
+            if lib.file_queries(self.rows.ctypes.data, len(self.rows), n, *window.lo,
+                                *window.hi, address):
+                raise MemoryError("the kernel could not file the queries")
+            self._filed = ((n, window), filing, address)
+        return filing, address
+
+
 def nearest_neighbor_distances(pattern: PointPattern, k: int = 1,
-                               queries: np.ndarray | None = None) -> np.ndarray:
+                               queries: np.ndarray | FiledQueries | None = None) -> np.ndarray:
     """The (m, k) distances, ascending, from each query row to its k <= n
     nearest points of ``pattern``, or with no queries from each of its n >= 2
     points to the k <= n - 1 nearest others (m = n). Exact, so coincident
@@ -220,7 +245,8 @@ def nearest_neighbor_distances(pattern: PointPattern, k: int = 1,
     answers when k = 1, the library loads and the kernel stays within its work
     budget; the k-d tree ``pattern.tree`` answers the rest. ``_native.c``'s
     header and comments describe the kernel's 3x3 block scan, the grid it
-    refines for G and its budget.
+    refines for G and its budget. Raw ``queries`` are filed for the kernel on
+    each call; ``FiledQueries`` keep their filing from call to call.
     """
     n = len(pattern)
     if queries is None and n < 2:
@@ -230,13 +256,16 @@ def nearest_neighbor_distances(pattern: PointPattern, k: int = 1,
     if not 1e-150 <= min(w.width, w.height) <= max(w.width, w.height) <= 1e150:
         raise InvalidInputError(f"window sides {(w.width, w.height)} lie outside "
                                 "[1e-150, 1e150]; rescale the coordinates")
-    if queries is not None:  # the kernel reads C-contiguous float rows
-        queries = np.ascontiguousarray(finite_rows(queries, 2, "queries"))
-    q, m = (None, n) if queries is None else (queries.ctypes.data, len(queries))
+    if queries is not None and not isinstance(queries, FiledQueries):
+        queries = FiledQueries(queries)
+    m = n if queries is None else len(queries.rows)
     dist = np.empty((m, 1))
-    if k == 1 and (lib := _native.load()) and lib.nearest_distances(
-            pattern.coords.ctypes.data, n, q, m, *w.lo, *w.hi, dist.ctypes.data) == 0:
-        return dist
+    if k == 1 and (lib := _native.load()):
+        # filing stays referenced here while the kernel reads it
+        filing, q = (None, None) if queries is None else queries.filing(lib, n, w)
+        if lib.nearest_distances(pattern.coords.ctypes.data, n, q, m, *w.lo, *w.hi,
+                                 dist.ctypes.data) == 0:
+            return dist
     if queries is None:  # column 0 is the point itself, or a tied zero among coincident points
         return np.ascontiguousarray(pattern.tree.query(pattern.coords, k=k + 1)[0][:, 1:])
-    return pattern.tree.query(queries, k=k)[0].reshape(m, k)
+    return pattern.tree.query(queries.rows, k=k)[0].reshape(m, k)

@@ -11,10 +11,12 @@ are always compared with the same estimator:
   *strictly* less than d; F(d) is the analogous fraction over reference
   points dropped uniformly in the window. No edge correction is applied.
 * F draws its reference points from a seeded stream, generated up front
-  in one call (``rng.uniform(window.lo, window.hi, (n_ref, 2))``), so the
-  curve is bit-reproducible for a fixed seed; ``n_ref`` defaults to
+  in one call (the bytes of ``rng.uniform(window.lo, window.hi, (n_ref, 2))``),
+  so the curve is bit-reproducible for a fixed seed; ``n_ref`` defaults to
   max(1000, n). Each process keeps the last set it drew (``_references``),
-  so every F of a fit reads one set.
+  so every F of a fit reads one set. It keeps that set's filing into the
+  grid kernel's cells with it (``_filed_references``) and files it again
+  only when the pattern size changes, so a fit files it once.
 * G's nearest-neighbour distances, F's reference distances and ``nn_stats``
   all come from ``geometry.nearest_neighbor_distances``, which states its
   kernel-or-tree rule and the window's scale bound.
@@ -28,8 +30,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, check_count
-from .geometry import PointPattern, Window, increasing_values, nearest_neighbor_distances
-from .seeding import DEFAULT_SEED, rng_from_seed
+from .geometry import (FiledQueries, PointPattern, Window, increasing_values,
+                       nearest_neighbor_distances)
+from .seeding import DEFAULT_SEED, uniform_rows
 
 DEFAULT_GRID_STEPS = 100
 DEFAULT_NN_K, DEFAULT_NN_BINS = 5, 30
@@ -99,7 +102,7 @@ def f_function(
         raise InvalidInputError("F function needs a nonempty pattern")
     seed = check_count(seed, "seed", 0, None)  # before the cache, which cannot hash every bad seed
     n_ref = max(1000, len(pattern)) if n_ref is None else check_count(n_ref, "n_ref")
-    refs = _references(pattern.window, n_ref, seed)
+    refs = _filed_references(pattern.window, n_ref, seed)
     dist = nearest_neighbor_distances(pattern, queries=refs)[:, 0]
     dist.sort()
     return _empirical_cdf(dist, grid)
@@ -108,9 +111,23 @@ def f_function(
 @lru_cache(maxsize=1)
 def _references(window: Window, n_ref: int, seed: int) -> np.ndarray:
     """The seeded draw, read-only, kept until a call with other arguments."""
-    refs = rng_from_seed(seed).uniform(window.lo, window.hi, size=(n_ref, 2))
+    refs = uniform_rows(window.lo, window.hi, n_ref, seed)
     refs.setflags(write=False)
     return refs
+
+
+_filed = (None, None)  # the last set ``_references`` returned, and it as FiledQueries
+
+
+def _filed_references(window: Window, n_ref: int, seed: int) -> FiledQueries:
+    """``_references``' set as the ``FiledQueries`` F reads, kept with the set."""
+    global _filed
+    refs = _references(window, n_ref, seed)
+    last, filed = _filed
+    if last is not refs:  # a new draw
+        filed = FiledQueries(refs)
+        _filed = refs, filed
+    return filed
 
 
 def j_function(

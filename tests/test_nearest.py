@@ -99,6 +99,40 @@ def test_kernel_is_byte_equal_to_the_tree(pattern, n_ref, seed, kernel):
                          (w.x_min, (w.y_min + w.y_max) / 2), ((w.x_min + w.x_max) / 2, w.y_max)]
     refs = ripley._references(w, n_ref, seed)
     assert_kernel_matches_tree(pattern, np.vstack([refs, corners_and_edges]))
+    tree = pattern.tree.query(refs, k=1)[0].tobytes()
+    for _ in range(2):  # F's cached set: filed for this pattern, then read as filed
+        assert kernel_distances(pattern, ripley._filed_references(w, n_ref, seed)).tobytes() == tree
+
+
+@pytest.mark.parametrize("n", [4, 1512])
+def test_one_reference_set_is_filed_again_for_another_pattern_size(n, filings):
+    # F's grid has about n / 2 cells: 1 x 2 at n = 4 and 1 x 1 at 3, and 27 x 28
+    # at 1512 and 27 x 27 at 1511. So a filing kept for one size would misfile
+    # queries at the other.
+    window = Window(0.0, 0.0, 3000.0, 3000.0)
+    filed = geometry.FiledQueries(ripley._references(window, 8000, 4))
+    for size, seed in [(n, 0), (n - 1, 1), (n - 1, 2), (n, 3)]:
+        pattern = simulate_reproduction(window, size, ReproductionParams(0.5, 60.0), seed)
+        f = kernel_distances(pattern, filed)
+        assert f is not None and f.tobytes() == pattern.tree.query(filed.rows, k=1)[0].tobytes()
+    assert filings == [n, n - 1, n]
+
+
+def test_a_reference_set_first_read_by_the_tree_is_filed_once_the_library_is_back(
+        filings, monkeypatch):
+    # F caches its reference set while the library is forced off; once it is
+    # back, the kernel files that set and answers
+    window = Window(0.0, 0.0, 100.0, 100.0)
+    pattern = simulate_reproduction(window, 60, ReproductionParams(0.5, 5.0), 2)
+    grid = DistanceGrid.default(window, 20)
+    ripley._references.cache_clear()
+    lib = native.load()
+    monkeypatch.setattr(native, "_lib", False)
+    tree = f_function(pattern, grid, 400, 3)
+    monkeypatch.setattr(native, "_lib", lib)
+    monkeypatch.setattr(PointPattern, "tree", property(gave_up))
+    assert f_function(pattern, grid, 400, 3).tobytes() == tree.tobytes()
+    assert filings == [60]
 
 
 @pytest.mark.parametrize("coords", [[(0, 0), (0, 0)], [(0, 0), (10, 4)], [(10, 0), (0, 4)],
@@ -157,12 +191,12 @@ def test_far_queries_search_rings_beyond_the_block(seed, kernel):
 
 
 @pytest.mark.parametrize("crowd", [2, 5, 8, 9, 13, 20])
-def test_coincident_points_stop_at_zero_in_crowded_and_other_cells(crowd, kernel):
+def test_coincident_points_in_crowded_and_other_cells(crowd, kernel):
     # 200 points make a 10 x 10 grid of 10-unit cells. Cell [40, 50)^2 gets
     # `crowd` of them, each of its first few repeated once: with more than
-    # CROWDED (8) points the cell scans its own points first (ring 0), else its
-    # whole block, and either way stops at a zero distance wherever in a group
-    # of four it falls. The queries sit on the cell's points and around them.
+    # CROWDED (8) points the cell scans its own points first (ring 0) and stops
+    # at a zero distance wherever in a group of four it falls, else it scans its
+    # whole block. The queries sit on the cell's points and around them.
     window = Window(0.0, 0.0, 100.0, 100.0)
     rng = np.random.default_rng(crowd)
     others = rng.uniform(0.0, 100.0, (400, 2))
@@ -256,7 +290,8 @@ def test_envelope_size_clusters_stay_on_the_kernel(seed, kernel):
 
 def g_and_f(window, coords):
     """G and F (the fit's 8000 references) of a fresh pattern, so the tree path
-    builds its tree inside the timing."""
+    builds its tree inside the timing. The kernel path files the references on
+    its first repetition and reuses that filing on the rest, as a fit does."""
     pattern = PointPattern(window, coords)
     grid = DistanceGrid.default(window, 50)
     return g_function(pattern, grid).tobytes() + f_function(pattern, grid, 8000, 7).tobytes()

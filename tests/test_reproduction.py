@@ -524,6 +524,17 @@ def test_fit_draws_its_reference_set_once(monkeypatch):
     assert_same_fit(result, brute_fit(*args, seed=4))
 
 
+def test_fit_files_its_reference_set_once(filings, monkeypatch):
+    monkeypatch.setenv("PALMPAT_THREADS", "1")
+    ripley._references.cache_clear()
+    window = Window(0.0, 0.0, 100.0, 100.0)
+    observed = simulate_csr(window, 30, seed=2)
+    args = (observed, [0.3, 0.6], [5.0, 9.0], 3, DistanceGrid.default(window, 20), 200)
+    result = fit(*args, seed=4)
+    assert filings == [30]  # for the observed F; every trial's reads that filing
+    assert_same_fit(result, brute_fit(*args, seed=4))
+
+
 def test_fit_tie_goes_to_first_cell_like_the_oracle(monkeypatch):
     monkeypatch.setenv("PALMPAT_THREADS", "1")
     # on a grid that ends at 1e-9 every G and F value is 0, so every cell ties at 0
